@@ -34,10 +34,10 @@ from .model import (
     all_on,
     enumerate_activations,
     network_cost,
-    restrict_rates,
     step_queues,
 )
 from .policies import (
+    POLICY_DEFAULTS,
     POLICY_NAMES,
     AlwaysOnMaxWeight,
     LearningMaxWeight,
@@ -52,9 +52,9 @@ from .rateregion import (
     ChannelModel,
     ChannelState,
     RateRegion,
-    RegionTable,
     full_region,
     reference_scenario,
+    region_index,
     restricted_region,
 )
 from .sim import (
@@ -78,13 +78,13 @@ __all__ = [
     "LpProblem",
     "LpSolution",
     "NetworkConfig",
+    "POLICY_DEFAULTS",
     "POLICY_NAMES",
     "PerturbedChain",
     "Policy",
     "PolicyError",
     "RateRegion",
     "RegimeSchedule",
-    "RegionTable",
     "SimTrace",
     "SimplexError",
     "SimplexResult",
@@ -108,7 +108,7 @@ __all__ = [
     "p_sigma_eps",
     "perturb_cost",
     "reference_scenario",
-    "restrict_rates",
+    "region_index",
     "restricted_region",
     "run",
     "solve_lp",

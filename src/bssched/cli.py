@@ -9,8 +9,9 @@ Scenario files are JSON with four blocks:
               optional explicit regions per state
     arrivals  law ("bernoulli" | "binomial"), optional regimes as
               [start_slot, scale] pairs
-    policy    name plus parameters (eps_s, eps_g, eps_p, learning_floor,
-              min_switch_gap)
+    policy    name plus any of the parameters in policies.POLICY_DEFAULTS
+              (eps_s, eps_g, eps_p, learning_floor, min_switch_gap,
+              update_arrivals_every_slot); other keys are rejected
     run       horizon, seeds, window, q_bar, drift_window defaults
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime or solver
@@ -33,7 +34,7 @@ import numpy as np
 
 from .lp import beta_to_alpha, build_lp, expected_offered_rates, perturb_cost, solve_lp
 from .model import NetworkConfig
-from .policies import POLICY_NAMES, PolicyError, make_policy
+from .policies import POLICY_DEFAULTS, POLICY_NAMES, PolicyError, make_policy
 from .rateregion import EXPLICIT, ONE_USER_PER_STATION, ChannelModel, ChannelState
 from .sim import ARRIVAL_LAWS, RegimeSchedule, run, stability_fraction
 
@@ -78,6 +79,11 @@ class Scenario:
     q_bar: float
     drift_window: int
     raw: dict
+
+    @property
+    def eps_g(self) -> float:
+        """The coverage slack the scenario's policy plans with."""
+        return self.policy_params.get("eps_g", POLICY_DEFAULTS["eps_g"])
 
 
 def _get(data: dict, key: str, kind, errors: list[str], where: str, default=None):
@@ -215,6 +221,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     if policy_name not in POLICY_NAMES:
         errors.append(f"policy: name must be one of {POLICY_NAMES}")
     policy_params = {k: v for k, v in policy.items() if k != "name"}
+    for key in sorted(set(policy_params) - set(POLICY_DEFAULTS)):
+        errors.append(f"policy: unknown key {key!r}")
     for key in ("eps_s", "learning_floor"):
         if key in policy_params and not (
             isinstance(policy_params[key], (int, float))
@@ -430,9 +438,7 @@ def cmd_lp(args) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    eps_g = args.eps_g
-    if eps_g is None:
-        eps_g = scenario.policy_params.get("eps_g", 0.0)
+    eps_g = scenario.eps_g if args.eps_g is None else args.eps_g
     report = _lp_report(scenario, eps_g, args.perturb, args.seed)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -483,10 +489,9 @@ def cmd_run(args) -> int:
         print(f"policy error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    lp_eps_g = scenario.policy_params.get("eps_g", 0.0)
-    problem = build_lp(scenario.cfg, scenario.cm, eps_g=lp_eps_g)
+    problem = build_lp(scenario.cfg, scenario.cm, eps_g=scenario.eps_g)
     solution = solve_lp(problem)
-    lp_block = {"status": solution.status, "eps_g": lp_eps_g}
+    lp_block = {"status": solution.status, "eps_g": scenario.eps_g}
     if solution.status == "optimal":
         lp_block["objective"] = solution.objective
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkConfig, enumerate_activations
-from .rateregion import ChannelModel, RateRegion, full_region, restricted_region
+from .rateregion import ChannelModel, RateRegion, region_index
 
 DEFAULT_TOL = 1e-9
 
@@ -104,18 +104,13 @@ def build_lp(
     n_act = activations.shape[0]
     n_states = cm.n_states
 
-    full = [full_region(cm, cfg, h) for h in range(n_states)]
-    regions: list[list[RateRegion]] = []
+    regions = region_index(cfg, cm)
     beta_offsets: dict[tuple[int, int], tuple[int, int]] = {}
     offset = n_act
-    for j_idx in range(n_act):
-        row = []
-        for h in range(n_states):
-            reg = restricted_region(full[h], activations[j_idx])
-            row.append(reg)
+    for j_idx, row in enumerate(regions):
+        for h, reg in enumerate(row):
             beta_offsets[(j_idx, h)] = (offset, len(reg))
             offset += len(reg)
-        regions.append(row)
     dim = offset
 
     n_eq = 1 + n_act * n_states

@@ -103,10 +103,6 @@ class NetworkConfig:
                 mask[m, u] = True
         return mask
 
-    def station_degrees(self) -> np.ndarray:
-        """Number of adjacent users per station."""
-        return self.adjacency_mask().sum(axis=1)
-
 
 def all_on(n_stations: int) -> np.ndarray:
     return np.ones(n_stations, dtype=np.int64)
@@ -153,11 +149,6 @@ def network_cost(j_prev: np.ndarray, j: np.ndarray, cfg: NetworkConfig) -> float
         + cfg.switch_on_cost * turned_on
         + cfg.sleep_cost * off
     )
-
-
-def restrict_rates(r: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Zero out the rows of rate matrix ``r`` whose stations are OFF."""
-    return r * np.asarray(j).reshape(-1, 1)
 
 
 def step_queues(

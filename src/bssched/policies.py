@@ -21,7 +21,8 @@ import numpy as np
 
 from .lp import beta_to_alpha, build_lp, perturb_cost, solve_lp
 from .model import NetworkConfig, activation_id, all_on
-from .rateregion import ChannelModel, RateRegion, RegionTable
+from .rateregion import ChannelModel, RateRegion, full_region
+from .sim import draw_channel_index
 
 POLICY_NAMES = (
     "always_on",
@@ -30,6 +31,17 @@ POLICY_NAMES = (
     "algorithm1",
     "algorithm1_tracking",
 )
+
+# Every policy parameter a scenario may set, with its default; a policy
+# ignores the ones it does not use.
+POLICY_DEFAULTS = {
+    "eps_s": 0.05,
+    "eps_g": 0.05,
+    "eps_p": 0.01,
+    "learning_floor": 0.001,
+    "min_switch_gap": 0,
+    "update_arrivals_every_slot": False,
+}
 
 
 class PolicyError(Exception):
@@ -46,13 +58,6 @@ def max_weight(q: np.ndarray, region: RateRegion) -> int:
     return int(np.argmax(weights))
 
 
-def _draw_index(pmf: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw consuming exactly one uniform."""
-    cum = np.cumsum(pmf)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, pmf.shape[0] - 1)
-
-
 def _clean_pmf(v: np.ndarray) -> np.ndarray:
     v = np.maximum(v, 0.0)
     total = v.sum()
@@ -62,18 +67,28 @@ def _clean_pmf(v: np.ndarray) -> np.ndarray:
 
 
 class Policy:
-    """Common state: the previous activation vector and estimate handles."""
+    """Common state: the previous activation, the resample coin, estimates."""
 
     name = "policy"
     mu_hat: np.ndarray | None = None
     lambda_hat: np.ndarray | None = None
 
-    def __init__(self, cfg: NetworkConfig, cm: ChannelModel):
+    def __init__(
+        self,
+        cfg: NetworkConfig,
+        cm: ChannelModel,
+        eps_s: float = 0.0,
+        min_switch_gap: int = 0,
+    ):
+        if not 0.0 <= eps_s <= 1.0:
+            raise PolicyError("eps_s must lie in [0, 1]")
+        if min_switch_gap < 0:
+            raise PolicyError("min_switch_gap must be a nonnegative integer")
         self.cfg = cfg
         self.cm = cm
-        self.table = RegionTable(cfg, cm)
+        self.eps_s = float(eps_s)
+        self.min_switch_gap = int(min_switch_gap)
         self._j = all_on(cfg.n_stations)
-        self.min_switch_gap = 0
         self._last_switch: int | None = None
         self.resample_count = 0
 
@@ -82,11 +97,23 @@ class Policy:
         self._last_switch = None
         self.resample_count = 0
 
-    def _switch_allowed(self, t: int) -> bool:
-        """Hysteresis gate: False within min_switch_gap slots of a switch."""
-        if self.min_switch_gap <= 0 or self._last_switch is None:
-            return True
-        return t - self._last_switch >= self.min_switch_gap
+    def _resample_coin(self, t: int, rng: np.random.Generator) -> bool:
+        """True w.p. eps_s, recording a resample event at slot t.
+
+        Within min_switch_gap slots of the last event the coin is not
+        tossed at all: it returns False without consuming a uniform.
+        """
+        if (
+            self.min_switch_gap > 0
+            and self._last_switch is not None
+            and t - self._last_switch < self.min_switch_gap
+        ):
+            return False
+        if rng.random() >= self.eps_s:
+            return False
+        self._last_switch = t
+        self.resample_count += 1
+        return True
 
     def step(
         self,
@@ -104,9 +131,13 @@ class AlwaysOnMaxWeight(Policy):
 
     name = "always_on"
 
+    def __init__(self, cfg, cm):
+        super().__init__(cfg, cm)
+        self._full = [full_region(cm, cfg, h) for h in range(cm.n_states)]
+
     def step(self, t, q, h_index, arrivals, rng):
         j = all_on(self.cfg.n_stations)
-        region = self.table.full(h_index)
+        region = self._full[h_index]
         s = region.members[max_weight(q, region)]
         self._j = j
         return j, s, False
@@ -120,14 +151,8 @@ class _ResamplingActivation(Policy):
     """
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
-        super().__init__(cfg, cm)
-        if not 0.0 <= eps_s <= 1.0:
-            raise PolicyError("eps_s must lie in [0, 1]")
-        if min_switch_gap < 0:
-            raise PolicyError("min_switch_gap must be a nonnegative integer")
-        self.eps_s = float(eps_s)
+        super().__init__(cfg, cm, eps_s, min_switch_gap)
         self.eps_g = float(eps_g)
-        self.min_switch_gap = int(min_switch_gap)
         self.problem = build_lp(cfg, cm, eps_g=eps_g)
         solution = solve_lp(self.problem)
         if solution.status != "optimal":
@@ -137,14 +162,13 @@ class _ResamplingActivation(Policy):
             )
         self.solution = solution
         self.sigma_star = _clean_pmf(solution.sigma)
+        self._sigma_cdf = np.cumsum(self.sigma_star)
         self.planned_cost = float(solution.objective)
 
     def _activation(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        if self._switch_allowed(t) and rng.random() < self.eps_s:
-            j_idx = _draw_index(self.sigma_star, rng)
+        if self._resample_coin(t, rng):
+            j_idx = draw_channel_index(self._sigma_cdf, rng)
             self._j = self.problem.activations[j_idx].copy()
-            self._last_switch = t
-            self.resample_count += 1
         return self._j
 
 
@@ -155,7 +179,7 @@ class StaticSplitMaxWeight(_ResamplingActivation):
 
     def step(self, t, q, h_index, arrivals, rng):
         j = self._activation(t, rng)
-        region = self.table.restricted(j, h_index)
+        region = self.problem.regions[activation_id(j)][h_index]
         s = region.members[max_weight(q, region)]
         return j, s, False
 
@@ -171,13 +195,14 @@ class StaticSplitStatic(_ResamplingActivation):
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, eps_g, min_switch_gap)
-        self.alpha = beta_to_alpha(self.problem, self.solution)
+        alpha = beta_to_alpha(self.problem, self.solution)
+        self._alpha_cdf = {key: np.cumsum(pmf) for key, pmf in alpha.items()}
 
     def step(self, t, q, h_index, arrivals, rng):
         j = self._activation(t, rng)
         j_idx = activation_id(j)
         region = self.problem.regions[j_idx][h_index]
-        s = region.members[_draw_index(self.alpha[(j_idx, h_index)], rng)]
+        s = region.members[draw_channel_index(self._alpha_cdf[(j_idx, h_index)], rng)]
         return j, s, False
 
 
@@ -214,17 +239,11 @@ class LearningMaxWeight(Policy):
         eps_g: float,
         rng: np.random.Generator,
         tracking: bool = False,
-        learning_floor: float = 0.001,
+        learning_floor: float = POLICY_DEFAULTS["learning_floor"],
         update_arrivals_every_slot: bool = False,
         min_switch_gap: int = 0,
     ):
-        super().__init__(cfg, cm)
-        if not 0.0 <= eps_s <= 1.0:
-            raise PolicyError("eps_s must lie in [0, 1]")
-        if min_switch_gap < 0:
-            raise PolicyError("min_switch_gap must be a nonnegative integer")
-        self.min_switch_gap = int(min_switch_gap)
-        self.eps_s = float(eps_s)
+        super().__init__(cfg, cm, eps_s, min_switch_gap)
         self.eps_p = float(eps_p)
         self.eps_g = float(eps_g)
         self.tracking = bool(tracking)
@@ -262,8 +281,9 @@ class LearningMaxWeight(Policy):
             base = max(base, self.learning_floor)
         return min(base, 1.0)
 
-    def _learning_rate(self) -> float:
-        rate = 1.0 / self.explore_count
+    def _learning_rate(self, count: int) -> float:
+        """Step size 1/count of a running-mean estimate, floored if tracking."""
+        rate = 1.0 / count
         if self.tracking:
             rate = max(rate, self.learning_floor)
         return rate
@@ -291,12 +311,12 @@ class LearningMaxWeight(Policy):
             )
             self._solved_version = self._estimate_version
         if self._sigma_hat is not None:
-            j_idx = _draw_index(self._sigma_hat, rng)
+            j_idx = draw_channel_index(np.cumsum(self._sigma_hat), rng)
             self._j_tilde = self.problem.activations[j_idx].copy()
 
     def _update_estimates(self, h_index: int, arrivals: np.ndarray) -> None:
         self.explore_count += 1
-        rate = self._learning_rate()
+        rate = self._learning_rate(self.explore_count)
         onehot = np.zeros(self.cm.n_states)
         onehot[h_index] = 1.0
         self.mu_hat += rate * (onehot - self.mu_hat)
@@ -304,18 +324,8 @@ class LearningMaxWeight(Policy):
             self.lambda_hat += rate * (arrivals - self.lambda_hat)
         self._estimate_version += 1
 
-    def _update_lambda_every_slot(self, arrivals: np.ndarray) -> None:
-        self._lambda_count += 1
-        rate = 1.0 / self._lambda_count
-        if self.tracking:
-            rate = max(rate, self.learning_floor)
-        self.lambda_hat += rate * (arrivals - self.lambda_hat)
-        self._estimate_version += 1
-
     def step(self, t, q, h_index, arrivals, rng):
-        if self._switch_allowed(t) and rng.random() < self.eps_s:
-            self._last_switch = t
-            self.resample_count += 1
+        if self._resample_coin(t, rng):
             self._resample_j_tilde(rng)
         explore = rng.random() < self.explore_probability(t)
         if explore:
@@ -324,8 +334,11 @@ class LearningMaxWeight(Policy):
         else:
             j = self._j_tilde.copy()
         if self.update_arrivals_every_slot:
-            self._update_lambda_every_slot(arrivals)
-        region = self.table.restricted(j, h_index)
+            self._lambda_count += 1
+            rate = self._learning_rate(self._lambda_count)
+            self.lambda_hat += rate * (arrivals - self.lambda_hat)
+            self._estimate_version += 1
+        region = self.problem.regions[activation_id(j)][h_index]
         s = region.members[max_weight(q, region)]
         self._j = j
         return j, s, explore
@@ -344,42 +357,33 @@ def make_policy(
 ) -> Policy:
     """Build a policy by its configuration name.
 
-    ``rng`` is only consumed by policies that randomize their construction
-    (the learning policies draw their cost perturbation direction).
+    ``params`` overrides ``POLICY_DEFAULTS``. ``rng`` is only consumed by
+    policies that randomize their construction (the learning policies draw
+    their cost perturbation direction).
     """
-    params = dict(params or {})
+    p = {**POLICY_DEFAULTS, **(params or {})}
     if name == "always_on":
         return AlwaysOnMaxWeight(cfg, cm)
-    gap = params.get("min_switch_gap", 0)
-    if name == "static_split_mw":
-        return StaticSplitMaxWeight(
+    if name in ("static_split_mw", "static_split_static"):
+        cls = StaticSplitMaxWeight if name == "static_split_mw" else StaticSplitStatic
+        return cls(
             cfg,
             cm,
-            eps_s=params.get("eps_s", 0.05),
-            eps_g=params.get("eps_g", 0.05),
-            min_switch_gap=gap,
-        )
-    if name == "static_split_static":
-        return StaticSplitStatic(
-            cfg,
-            cm,
-            eps_s=params.get("eps_s", 0.05),
-            eps_g=params.get("eps_g", 0.05),
-            min_switch_gap=gap,
+            eps_s=p["eps_s"],
+            eps_g=p["eps_g"],
+            min_switch_gap=p["min_switch_gap"],
         )
     if name in ("algorithm1", "algorithm1_tracking"):
         return LearningMaxWeight(
             cfg,
             cm,
-            eps_s=params.get("eps_s", 0.05),
-            eps_p=params.get("eps_p", 0.01),
-            eps_g=params.get("eps_g", 0.05),
+            eps_s=p["eps_s"],
+            eps_p=p["eps_p"],
+            eps_g=p["eps_g"],
             rng=rng,
             tracking=(name == "algorithm1_tracking"),
-            learning_floor=params.get("learning_floor", 0.001),
-            update_arrivals_every_slot=params.get(
-                "update_arrivals_every_slot", False
-            ),
-            min_switch_gap=gap,
+            learning_floor=p["learning_floor"],
+            update_arrivals_every_slot=p["update_arrivals_every_slot"],
+            min_switch_gap=p["min_switch_gap"],
         )
     raise PolicyError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkConfig, activation_id
+from .model import NetworkConfig, enumerate_activations
 
 ONE_USER_PER_STATION = "one_user_per_station"
 EXPLICIT = "explicit"
@@ -103,9 +103,6 @@ class RateRegion:
     def __len__(self) -> int:
         return self.members.shape[0]
 
-    def __iter__(self):
-        return iter(self.members)
-
 
 def _dedupe_members(stacked: np.ndarray) -> np.ndarray:
     """Drop duplicate matrices, keeping first occurrence order."""
@@ -157,25 +154,17 @@ def restricted_region(region: RateRegion, j: np.ndarray) -> RateRegion:
     return RateRegion(_dedupe_members(region.members * j))
 
 
-class RegionTable:
-    """Cache of regions per (activation, channel state) for one scenario."""
+def region_index(cfg: NetworkConfig, cm: ChannelModel) -> list[list[RateRegion]]:
+    """Every region R(j, h) of a scenario, indexed [j_index][h_index].
 
-    def __init__(self, cfg: NetworkConfig, cm: ChannelModel):
-        self.cfg = cfg
-        self.cm = cm
-        self._full: dict[int, RateRegion] = {}
-        self._restricted: dict[tuple[int, int], RateRegion] = {}
-
-    def full(self, h_index: int) -> RateRegion:
-        if h_index not in self._full:
-            self._full[h_index] = full_region(self.cm, self.cfg, h_index)
-        return self._full[h_index]
-
-    def restricted(self, j: np.ndarray, h_index: int) -> RateRegion:
-        key = (activation_id(j), h_index)
-        if key not in self._restricted:
-            self._restricted[key] = restricted_region(self.full(h_index), j)
-        return self._restricted[key]
+    Rows follow ``enumerate_activations`` order, so ``activation_id(j)``
+    selects the row of j. Each R(1, h) is built once and restricted per j.
+    """
+    full = [full_region(cm, cfg, h) for h in range(cm.n_states)]
+    return [
+        [restricted_region(region, j) for region in full]
+        for j in enumerate_activations(cfg.n_stations)
+    ]
 
 
 def reference_scenario() -> tuple[NetworkConfig, ChannelModel]:

@@ -15,12 +15,15 @@ byte-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import NetworkConfig, activation_id, all_on, network_cost, step_queues
-from .policies import Policy
 from .rateregion import ChannelModel
+
+if TYPE_CHECKING:  # policies imports draw_channel_index from this module
+    from .policies import Policy
 
 ARRIVAL_LAWS = ("bernoulli", "binomial")
 
@@ -110,6 +113,11 @@ class SimTrace:
 
 
 def draw_channel_index(cum_pmf: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from a cumulative pmf, consuming exactly one uniform.
+
+    The package's only categorical draw: channel states here, activations
+    and rate members in the policies.
+    """
     idx = int(np.searchsorted(cum_pmf, rng.random(), side="right"))
     return min(idx, cum_pmf.shape[0] - 1)
 

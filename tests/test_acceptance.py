@@ -29,13 +29,14 @@ from bssched.markov import (
     tau1,
     tau1_series_sum,
 )
+from bssched.model import activation_id
 from bssched.policies import (
     AlwaysOnMaxWeight,
     LearningMaxWeight,
     StaticSplitMaxWeight,
     max_weight,
 )
-from bssched.rateregion import RegionTable, reference_scenario
+from bssched.rateregion import reference_scenario, region_index
 from bssched.sim import RegimeSchedule, drift_diagnostic, run, stability_fraction
 
 from oracles import (
@@ -283,7 +284,7 @@ def test_criterion_04_marginal_bound_never_violated():
 
 def test_criterion_05_max_weight_matches_exhaustive_argmax(reference):
     cfg, cm = reference
-    table = RegionTable(cfg, cm)
+    regions = region_index(cfg, cm)
     rng = np.random.default_rng(5)
     mismatches = 0
     for case in range(200):
@@ -295,7 +296,7 @@ def test_criterion_05_max_weight_matches_exhaustive_argmax(reference):
             q = rng.integers(0, 40, size=(3, 5)).astype(float)
         j = rng.integers(0, 2, size=3)
         h = int(rng.integers(0, cm.n_states))
-        region = table.restricted(j, h)
+        region = regions[activation_id(j)][h]
         if max_weight(q, region) != brute_force_max_weight(q, region.members):
             mismatches += 1
     ok = mismatches == 0

@@ -1,0 +1,50 @@
+"""The benchmark's traced run still finds the functions its metrics read.
+
+``perfbench/tracing.py`` wraps functions by module and name, and a metric
+whose function was renamed or moved reads 0 instead of failing. One traced
+1-slot ``static_split_mw`` run must record a span for each name below.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from bssched.cli import bundled_scenario_path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED_NAMES = (
+    "sim.draw_channel_index",
+    "model.activation_id",
+    "policies.max_weight",
+    "lp.solve_lp",
+)
+
+
+def test_traced_run_records_every_metric_span(tmp_path):
+    scenario = json.loads(bundled_scenario_path("reference").read_text())
+    scenario["policy"] = {"name": "static_split_mw"}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    spans = tmp_path / "spans.json"
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        ),
+    )
+    cmd = [
+        sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans),
+        "run", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--horizon", "1", "--seeds", "0", "--jobs", "1",
+    ]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    doc = json.loads(spans.read_text())
+    counts = {name: 0 for name in doc["names"]}
+    for name_id, *_ in doc["spans"]:
+        counts[doc["names"][name_id]] += 1
+    for name in TRACED_NAMES:
+        assert counts.get(name, 0) >= 1, f"no span recorded for {name}"

@@ -23,6 +23,7 @@ from bssched.cli import (
     main,
     parse_scenario,
 )
+from bssched.policies import POLICY_DEFAULTS, make_policy
 from bssched.rateregion import reference_scenario
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -97,6 +98,17 @@ def test_validate_rejects_negative_switch_gap(tmp_path, capsys, reference_config
     path = write_config(tmp_path, bad)
     assert main(["validate", "--config", str(path)]) == EXIT_INVALID_CONFIG
     assert "min_switch_gap" in capsys.readouterr().out
+
+
+def test_validate_rejects_unknown_policy_key(tmp_path, capsys, reference_config):
+    """Every POLICY_DEFAULTS key is accepted; the misspelt one is the only error."""
+    bad = copy.deepcopy(reference_config)
+    bad["policy"] = {"name": "algorithm1_tracking", **POLICY_DEFAULTS, "eps_ss": 0.9}
+    path = write_config(tmp_path, bad)
+    assert main(["validate", "--config", str(path)]) == EXIT_INVALID_CONFIG
+    out = capsys.readouterr().out
+    assert "INVALID: 1 problem(s)" in out
+    assert "unknown key 'eps_ss'" in out
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -183,6 +195,34 @@ def test_lp_zero_slack_objective(capsys):
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["objective"] == pytest.approx(0.8, abs=1e-9)
+
+
+def test_lp_and_summary_plan_at_the_policy_default_slack(
+    tmp_path, capsys, reference_config
+):
+    """Without an eps_g key, the reported LP is the one the policy plans with."""
+    split = copy.deepcopy(reference_config)
+    split["policy"] = {"name": "static_split_mw"}
+    path = write_config(tmp_path, split)
+    cfg, cm = reference_scenario()
+    planned = make_policy("static_split_mw", cfg, cm, np.random.default_rng(0))
+    assert planned.eps_g == POLICY_DEFAULTS["eps_g"] == 0.05
+    assert planned.planned_cost == pytest.approx(1.2, abs=1e-9)
+
+    assert main(["lp", "--config", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["eps_g"] == 0.05
+    assert report["objective"] == pytest.approx(planned.planned_cost, abs=1e-9)
+
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(path), "--out", str(out), "--horizon", "20",
+         "--seeds", "0"]
+    )
+    assert code == EXIT_OK
+    lp_block = json.loads((out / "summary.json").read_text())["lp"]
+    assert lp_block["eps_g"] == 0.05
+    assert lp_block["objective"] == pytest.approx(planned.planned_cost, abs=1e-9)
 
 
 def test_lp_infeasible_load_exits_3(tmp_path, capsys, reference_config):

@@ -17,7 +17,13 @@ from bssched.policies import (
     make_policy,
     max_weight,
 )
-from bssched.rateregion import ChannelModel, ChannelState, RegionTable, reference_scenario
+from bssched.rateregion import (
+    ChannelModel,
+    ChannelState,
+    full_region,
+    reference_scenario,
+    region_index,
+)
 from bssched.sim import run, stability_fraction
 
 from oracles import brute_force_max_weight
@@ -71,9 +77,8 @@ def adjacency_matrix(cfg, value):
 
 def test_max_weight_zero_queue_picks_zero_member(reference):
     cfg, cm = reference
-    table = RegionTable(cfg, cm)
     for h in range(cm.n_states):
-        region = table.full(h)
+        region = full_region(cm, cfg, h)
         idx = max_weight(np.zeros((3, 5)), region)
         assert idx == 0
         assert not region.members[idx].any()
@@ -81,10 +86,9 @@ def test_max_weight_zero_queue_picks_zero_member(reference):
 
 def test_max_weight_serves_heaviest_link(reference):
     cfg, cm = reference
-    table = RegionTable(cfg, cm)
     q = np.zeros((3, 5))
     q[1, 2] = 50.0
-    region = table.full(0)
+    region = full_region(cm, cfg, 0)
     s = region.members[max_weight(q, region)]
     assert s[1, 2] == 1
     assert s.sum() >= s[1, 2]
@@ -92,7 +96,7 @@ def test_max_weight_serves_heaviest_link(reference):
 
 def test_max_weight_matches_brute_force(reference):
     cfg, cm = reference
-    table = RegionTable(cfg, cm)
+    regions = region_index(cfg, cm)
     rng = np.random.default_rng(42)
     for _ in range(200):
         q = rng.integers(0, 40, size=(3, 5)).astype(float)
@@ -100,18 +104,17 @@ def test_max_weight_matches_brute_force(reference):
             q[rng.integers(0, 3)] = 0.0
         j = rng.integers(0, 2, size=3)
         h = int(rng.integers(0, cm.n_states))
-        region = table.restricted(j, h)
+        region = regions[activation_id(j)][h]
         assert max_weight(q, region) == brute_force_max_weight(q, region.members)
 
 
 def test_max_weight_scale_invariance(reference):
     cfg, cm = reference
-    table = RegionTable(cfg, cm)
     rng = np.random.default_rng(7)
     for _ in range(50):
         q = rng.integers(0, 30, size=(3, 5)).astype(float)
         h = int(rng.integers(0, cm.n_states))
-        region = table.full(h)
+        region = full_region(cm, cfg, h)
         base = max_weight(q, region)
         for kappa in (0.5, 3.0, 1000.0):
             assert max_weight(kappa * q, region) == base
@@ -120,7 +123,7 @@ def test_max_weight_scale_invariance(reference):
 def test_max_weight_value_grows_with_activation(reference):
     """Turning more stations on can only improve the achievable weight."""
     cfg, cm = reference
-    table = RegionTable(cfg, cm)
+    regions = region_index(cfg, cm)
     rng = np.random.default_rng(3)
     for _ in range(60):
         q = rng.integers(0, 30, size=(3, 5)).astype(float)
@@ -129,7 +132,7 @@ def test_max_weight_value_grows_with_activation(reference):
         j_big = np.maximum(j_small, rng.integers(0, 2, size=3))
 
         def best_value(j):
-            region = table.restricted(j, h)
+            region = regions[activation_id(j)][h]
             flat = region.members.reshape(len(region), -1)
             return float((flat @ q.ravel()).max())
 
@@ -325,12 +328,11 @@ def test_tracking_floors_explore_and_learning_rate(reference):
     )
     assert tracking.name == "algorithm1_tracking"
     assert tracking.explore_probability(10**6) == 0.001
-    tracking.explore_count = 10**6
-    assert tracking._learning_rate() == 0.001
+    assert tracking._learning_rate(10**6) == 0.001
+    assert tracking._learning_rate(2) == 0.5
 
     plain = make_policy("algorithm1", cfg, cm, rng)
-    plain.explore_count = 10**6
-    assert plain._learning_rate() == pytest.approx(1e-6)
+    assert plain._learning_rate(10**6) == pytest.approx(1e-6)
     assert plain.explore_probability(10**6) < 0.001
 
 

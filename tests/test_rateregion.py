@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+import bssched.rateregion as rateregion_module
 from bssched import (
     ChannelModel,
     ChannelState,
     NetworkConfig,
-    RegionTable,
+    activation_id,
+    build_lp,
     enumerate_activations,
     full_region,
+    make_policy,
     reference_scenario,
+    region_index,
     restricted_region,
+    run,
 )
 
 from oracles import count_one_user_region, enumerate_one_user_region
@@ -190,13 +195,49 @@ def test_restriction_idempotent_as_a_set():
     assert np.array_equal(once.members, twice.members)
 
 
-def test_region_table_caches():
+# ---------------------------------------------------------------------------
+# region index
+# ---------------------------------------------------------------------------
+
+
+def test_region_index_rows_follow_activation_ids():
     cfg, cm = reference_scenario()
-    table = RegionTable(cfg, cm)
-    a = table.restricted(np.array([1, 0, 1]), 2)
-    b = table.restricted(np.array([1, 0, 1]), 2)
-    assert a is b
-    assert table.full(0) is table.full(0)
+    regions = region_index(cfg, cm)
+    acts = enumerate_activations(cfg.n_stations)
+    assert len(regions) == len(acts)
+    lp_regions = build_lp(cfg, cm).regions
+    for j in acts:
+        row = regions[activation_id(j)]
+        assert len(row) == cm.n_states
+        for h, region in enumerate(row):
+            expected = restricted_region(full_region(cm, cfg, h), j).members
+            assert np.array_equal(region.members, expected)
+            assert np.array_equal(lp_regions[activation_id(j)][h].members, expected)
+
+
+def test_policies_build_no_region_after_construction(monkeypatch):
+    """Max-Weight reads the region index built with the planning LP."""
+    cfg, cm = reference_scenario()
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("static_split_mw", "algorithm1"):
+        rng = np.random.default_rng(0)
+        policy = make_policy(name, cfg, cm, rng)
+        with monkeypatch.context() as patch:
+            for attr in ("full_region", "restricted_region"):
+                fn = getattr(rateregion_module, attr)
+                patch.setattr(rateregion_module, attr, counting(fn))
+            trace = run(cfg, cm, policy, horizon=2000, rng=rng)
+        assert policy.resample_count > 0
+        assert name != "algorithm1" or trace.explore.any()
+        assert calls == [], name
 
 
 # ---------------------------------------------------------------------------
