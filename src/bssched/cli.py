@@ -1,18 +1,9 @@
 """Command line interface: validate scenarios, solve the planning LP, run batches.
 
-Scenario files are JSON with four blocks:
-
-    network   n_users, n_stations, adjacency (0-based [station, user]
-              pairs), arrival_rate (uniform on links) or arrival_rates
-              (full matrix), max_arrivals, max_rate, costs
-    channel   interference model, states (name + rate matrix), pmf,
-              optional explicit regions per state
-    arrivals  law ("bernoulli" | "binomial"), optional regimes as
-              [start_slot, scale] pairs
-    policy    name plus any of the parameters in policies.POLICY_DEFAULTS
-              (eps_s, eps_g, eps_p, learning_floor, min_switch_gap,
-              update_arrivals_every_slot); other keys are rejected
-    run       horizon, seeds, window, q_bar, drift_window defaults
+A scenario file is a JSON object with the blocks network, channel,
+arrivals, policy and run; ``SCHEMA`` lists every key with its type and
+default. Types are strict (a bool is not a number, numbers are finite),
+unknown keys are rejected in every block, and every problem is reported.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime or solver
 failure, 3 infeasible planning LP.
@@ -34,9 +25,9 @@ import numpy as np
 
 from .lp import beta_to_alpha, build_lp, expected_offered_rates, perturb_cost, solve_lp
 from .model import NetworkConfig
-from .policies import POLICY_DEFAULTS, POLICY_NAMES, PolicyError, make_policy
-from .rateregion import EXPLICIT, ONE_USER_PER_STATION, ChannelModel, ChannelState
-from .sim import ARRIVAL_LAWS, RegimeSchedule, run, stability_fraction
+from .policies import POLICY_DEFAULTS, PolicyError, make_policy, policy_errors
+from .rateregion import ONE_USER_PER_STATION, ChannelModel, ChannelState
+from .sim import RegimeSchedule, arrival_errors, run, stability_fraction
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 1
@@ -86,196 +77,198 @@ class Scenario:
         return self.policy_params.get("eps_g", POLICY_DEFAULTS["eps_g"])
 
 
-def _get(data: dict, key: str, kind, errors: list[str], where: str, default=None):
-    if key not in data:
-        if default is not None:
-            return default
-        errors.append(f"{where}: missing required key {key!r}")
+@dataclass(frozen=True)
+class Default:
+    """An optional key: a present value follows ``spec``; an absent one is ``value``."""
+
+    spec: object
+    value: object = None
+
+
+# The one table of scenario keys. A dict is a block, [spec] a list, (spec,
+# ...) a list of fixed length, a type a JSON scalar; those keys are required.
+# Default marks an optional key; a plain value v stands for
+# Default(type(v), v). parse_scenario unpacks the blocks in this order.
+SCHEMA = {
+    "name": Default(str),
+    "network": {
+        "n_users": int,
+        "n_stations": int,
+        "adjacency": [(int, int)],
+        "arrival_rate": 0.0,
+        "arrival_rates": Default([[float]]),
+        "max_arrivals": 1,
+        "max_rate": 1,
+        "costs": {"switch_off": 1.0, "active": 1.0, "switch_on": 0.0, "sleep": 0.0},
+    },
+    "channel": {
+        "interference": ONE_USER_PER_STATION,
+        "states": [{"name": Default(str), "rates": [[int]]}],
+        "pmf": [float],
+        "regions": Default([[[[int]]]]),
+    },
+    "arrivals": {"law": "bernoulli", "regimes": Default([(int, float)])},
+    "policy": {"name": "always_on", **POLICY_DEFAULTS},
+    "run": {
+        "horizon": 10000,
+        "seeds": Default([int], (0,)),
+        "window": 200,
+        "q_bar": 200.0,
+        "drift_window": 100,
+    },
+}
+
+_MISSING = object()
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    bool: "a boolean",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _is(kind: type, value) -> bool:
+    """True if ``value`` is a JSON ``kind``; a bool is no number, a float is finite."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:  # also false for NaN, infinities and ints beyond float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _check(spec, value, where: str, errors: list[str]):
+    """``value`` checked against ``spec`` and defaults filled in, or None on error."""
+    if isinstance(spec, (bool, int, float, str)):
+        spec = Default(type(spec), spec)
+    if isinstance(spec, Default):
+        if value is _MISSING:
+            return spec.value
+        spec = spec.spec
+    kind = {dict: dict, list: list, tuple: list}.get(type(spec), spec)
+    value = {} if kind is dict and value is _MISSING else value
+    if value is _MISSING:
+        errors.append(f"{where}: missing required key")
         return None
-    value = data[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        errors.append(f"{where}: {key!r} must be {kind.__name__}")
+    if not _is(kind, value):
+        errors.append(f"{where}: must be {_KINDS[kind]}")
         return None
-    return value
+    n_errors = len(errors)
+    if kind is dict:
+        errors.extend(f"{where}: unknown key {k!r}" for k in value if k not in spec)
+        out = {
+            key: _check(sub, value.get(key, _MISSING), f"{where}.{key}", errors)
+            for key, sub in spec.items()
+        }
+    elif kind is list:
+        subs = spec if isinstance(spec, tuple) else spec * len(value)
+        if len(subs) != len(value):
+            errors.append(f"{where}: must be a list of {len(subs)} items")
+            return None
+        out = tuple(
+            _check(sub, v, f"{where}[{i}]", errors)
+            for i, (sub, v) in enumerate(zip(subs, value))
+        )
+    else:
+        out = spec(value)
+    return out if len(errors) == n_errors else None
 
 
 def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
-    """Build a Scenario from parsed JSON, collecting every validation error."""
-    errors: list[str] = []
+    """Build a Scenario from parsed JSON, collecting every problem found.
+
+    ``SCHEMA`` checks the keys and types of every block; each block that
+    passes is then checked by the model, channel, arrival and policy rules.
+    """
     if not isinstance(data, dict):
         raise ScenarioError(["top level must be a JSON object"])
-
-    net = data.get("network")
-    chan = data.get("channel")
-    for key, blk in (("network", net), ("channel", chan)):
-        if not isinstance(blk, dict):
-            errors.append(f"missing or invalid {key!r} block")
-    if errors:
-        raise ScenarioError(errors)
-
-    n_users = _get(net, "n_users", int, errors, "network")
-    n_stations = _get(net, "n_stations", int, errors, "network")
-    adjacency_raw = _get(net, "adjacency", list, errors, "network")
-    adjacency: tuple[tuple[int, int], ...] = ()
-    if adjacency_raw is not None:
-        pairs = []
-        for item in adjacency_raw:
-            if (
-                isinstance(item, list)
-                and len(item) == 2
-                and all(isinstance(v, int) for v in item)
-            ):
-                pairs.append((item[0], item[1]))
-            else:
-                errors.append(f"network: adjacency entry {item!r} is not [m, u]")
-        adjacency = tuple(pairs)
+    errors = [f"unknown top-level key {k!r}" for k in data if k not in SCHEMA]
+    title, net, chan, arrivals, policy, run_blk = (
+        _check(sub, data.get(key, _MISSING), key, errors) for key, sub in SCHEMA.items()
+    )
 
     cfg = None
-    if not errors and n_users and n_stations:
-        rates = np.zeros((n_stations, n_users))
-        if "arrival_rates" in net:
-            try:
-                rates = np.asarray(net["arrival_rates"], dtype=float)
-            except (TypeError, ValueError):
-                errors.append("network: arrival_rates is not a numeric matrix")
-        else:
-            rate = _get(net, "arrival_rate", float, errors, "network", default=0.0)
-            for m, u in adjacency:
-                if 0 <= m < n_stations and 0 <= u < n_users:
-                    rates[m, u] = rate
-        costs = net.get("costs", {})
-        if not isinstance(costs, dict):
-            errors.append("network: costs must be an object")
-            costs = {}
+    if net is not None:
+        rates = net["arrival_rates"]
+        if rates is None:
+            shape = (max(net["n_stations"], 0), max(net["n_users"], 0))
+            rates = np.zeros(shape)
+            for m, u in net["adjacency"]:
+                if 0 <= m < shape[0] and 0 <= u < shape[1]:
+                    rates[m, u] = net["arrival_rate"]
         try:
             cfg = NetworkConfig(
-                n_users=n_users,
-                n_stations=n_stations,
-                adjacency=adjacency,
-                arrival_rates=rates,
-                max_arrivals=net.get("max_arrivals", 1),
-                max_rate=net.get("max_rate", 1),
-                switch_off_cost=costs.get("switch_off", 1.0),
-                active_cost=costs.get("active", 1.0),
-                switch_on_cost=costs.get("switch_on", 0.0),
-                sleep_cost=costs.get("sleep", 0.0),
+                n_users=net["n_users"],
+                n_stations=net["n_stations"],
+                adjacency=net["adjacency"],
+                arrival_rates=np.asarray(rates, dtype=float),
+                max_arrivals=net["max_arrivals"],
+                max_rate=net["max_rate"],
+                **{f"{key}_cost": cost for key, cost in net["costs"].items()},
             )
         except ValueError as exc:
-            errors.append(str(exc))
+            errors.append(f"network: {exc}")
 
     cm = None
-    interference = chan.get("interference", ONE_USER_PER_STATION)
-    states_raw = _get(chan, "states", list, errors, "channel")
-    pmf_raw = _get(chan, "pmf", list, errors, "channel")
-    if cfg is not None and states_raw and pmf_raw:
-        states = []
-        for i, st in enumerate(states_raw):
-            if not isinstance(st, dict) or "rates" not in st:
-                errors.append(f"channel: state {i} needs a 'rates' matrix")
-                continue
-            try:
-                r = np.asarray(st["rates"], dtype=np.int64)
-            except (TypeError, ValueError):
-                errors.append(f"channel: state {i} rates are not integers")
-                continue
-            states.append(ChannelState(name=st.get("name", f"state_{i}"), rates=r))
-        explicit_regions = None
-        if interference == EXPLICIT:
-            regions_raw = chan.get("regions")
-            if not isinstance(regions_raw, list) or len(regions_raw) != len(states):
-                errors.append("channel: explicit interference needs one region per state")
-            else:
-                explicit_regions = tuple(
-                    np.asarray(r, dtype=np.int64) for r in regions_raw
-                )
-        if not errors:
-            try:
-                cm = ChannelModel(
-                    states=tuple(states),
-                    pmf=np.asarray(pmf_raw, dtype=float),
-                    interference=interference,
-                    explicit_regions=explicit_regions,
-                )
-            except ValueError as exc:
-                errors.append(f"channel: {exc}")
-        if cm is not None:
-            errors.extend(cm.validate_against(cfg))
-
-    arrivals = data.get("arrivals", {})
-    arrival_law = arrivals.get("law", "bernoulli")
-    if arrival_law not in ARRIVAL_LAWS:
-        errors.append(f"arrivals: law must be one of {ARRIVAL_LAWS}")
-    regime = None
-    if "regimes" in arrivals:
+    if chan is not None:
+        regions = chan["regions"]
         try:
-            regime = RegimeSchedule(
-                changes=tuple((int(s), float(x)) for s, x in arrivals["regimes"])
+            cm = ChannelModel(
+                states=tuple(
+                    ChannelState(st["name"] or f"state_{i}", np.asarray(st["rates"]))
+                    for i, st in enumerate(chan["states"])
+                ),
+                pmf=np.asarray(chan["pmf"], dtype=float),
+                interference=chan["interference"],
+                explicit_regions=regions and tuple(map(np.asarray, regions)),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
+            errors.append(f"channel: {exc}")
+    if cm is not None and cfg is not None:
+        errors.extend(f"channel: {err}" for err in cm.validate_against(cfg))
+
+    regime = None
+    if arrivals is not None and arrivals["regimes"] is not None:
+        try:
+            regime = RegimeSchedule(changes=arrivals["regimes"])
+        except ValueError as exc:
             errors.append(f"arrivals: bad regimes: {exc}")
-
-    policy = data.get("policy", {})
-    policy_name = policy.get("name", "always_on")
-    if policy_name not in POLICY_NAMES:
-        errors.append(f"policy: name must be one of {POLICY_NAMES}")
-    policy_params = {k: v for k, v in policy.items() if k != "name"}
-    for key in sorted(set(policy_params) - set(POLICY_DEFAULTS)):
-        errors.append(f"policy: unknown key {key!r}")
-    for key in ("eps_s", "learning_floor"):
-        if key in policy_params and not (
-            isinstance(policy_params[key], (int, float))
-            and 0.0 <= policy_params[key] <= 1.0
-        ):
-            errors.append(f"policy: {key} must lie in [0, 1]")
-    for key in ("eps_p", "eps_g"):
-        if key in policy_params and not (
-            isinstance(policy_params[key], (int, float)) and policy_params[key] >= 0.0
-        ):
-            errors.append(f"policy: {key} must be nonnegative")
-    if "min_switch_gap" in policy_params and not (
-        isinstance(policy_params["min_switch_gap"], int)
-        and policy_params["min_switch_gap"] >= 0
-    ):
-        errors.append("policy: min_switch_gap must be a nonnegative integer")
-
-    run_blk = data.get("run", {})
-    horizon = run_blk.get("horizon", 10000)
-    seeds = run_blk.get("seeds", [0])
-    window = run_blk.get("window", 200)
-    q_bar = run_blk.get("q_bar", 200)
-    drift_window = run_blk.get("drift_window", 100)
-    if not (isinstance(drift_window, int) and drift_window >= 1):
-        errors.append("run: drift_window must be a positive integer")
-    if not (isinstance(horizon, int) and horizon >= 1):
-        errors.append("run: horizon must be a positive integer")
-    if not (
-        isinstance(seeds, list)
-        and seeds
-        and all(isinstance(s, int) and s >= 0 for s in seeds)
-    ):
-        errors.append("run: seeds must be a nonempty list of nonnegative integers")
-    if regime is not None and isinstance(horizon, int):
-        if any(s > horizon for s in regime.boundaries()):
+    if arrivals is not None and cfg is not None:
+        sched = regime or RegimeSchedule(changes=())
+        scales = [sched.scale_at(1)] + [x for _, x in sched.changes]
+        problems = [e for x in scales for e in arrival_errors(cfg, arrivals["law"], x)]
+        where = "arrivals.regimes" if regime is not None else "arrivals"
+        errors.extend(f"{where}: {err}" for err in dict.fromkeys(problems))
+    if regime is not None and run_blk is not None:
+        if any(s > run_blk["horizon"] for s in regime.boundaries()):
             errors.append("arrivals: regime change beyond the run horizon")
+
+    if policy is not None:
+        errors.extend(f"policy: {err}" for err in policy_errors(policy))
+
+    if run_blk is not None:
+        for key in ("horizon", "window", "drift_window"):
+            if run_blk[key] < 1:
+                errors.append(f"run.{key}: must be a positive integer")
+        if not run_blk["seeds"] or min(run_blk["seeds"]) < 0:
+            errors.append("run.seeds: must be a nonempty list of nonnegative integers")
 
     if errors:
         raise ScenarioError(errors)
-    assert cfg is not None and cm is not None
     return Scenario(
-        name=data.get("name", name),
+        name=title or name,
         cfg=cfg,
         cm=cm,
-        arrival_law=arrival_law,
+        arrival_law=arrivals["law"],
         regime=regime,
-        policy_name=policy_name,
-        policy_params=policy_params,
-        horizon=horizon,
-        seeds=list(seeds),
-        window=window,
-        q_bar=float(q_bar),
-        drift_window=drift_window,
+        policy_name=policy["name"],
+        policy_params={k: v for k, v in data.get("policy", {}).items() if k != "name"},
+        horizon=run_blk["horizon"],
+        seeds=list(run_blk["seeds"]),
+        window=run_blk["window"],
+        q_bar=run_blk["q_bar"],
+        drift_window=run_blk["drift_window"],
         raw=data,
     )
 
@@ -432,12 +425,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lp(args) -> int:
-    try:
-        scenario = load_scenario(args.config)
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
+    scenario = load_scenario(args.config)
     eps_g = scenario.eps_g if args.eps_g is None else args.eps_g
     report = _lp_report(scenario, eps_g, args.perturb, args.seed)
     text = json.dumps(report, indent=2)
@@ -449,13 +437,7 @@ def cmd_lp(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.config)
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-
+    scenario = load_scenario(args.config)
     seeds = scenario.seeds if args.seeds is None else args.seeds
     horizon = scenario.horizon if args.horizon is None else args.horizon
     out_dir = Path(args.out)
@@ -466,28 +448,13 @@ def cmd_run(args) -> int:
         json.dumps(raw, sort_keys=True).encode()
     ).hexdigest()
 
-    try:
-        per_seed = {}
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [
-                    pool.submit(
-                        _run_one_seed, raw, scenario.name, s, horizon, str(out_dir)
-                    )
-                    for s in seeds
-                ]
-                for fut in futures:
-                    seed, summary = fut.result()
-                    per_seed[str(seed)] = summary
-        else:
-            for s in seeds:
-                seed, summary = _run_one_seed(
-                    raw, scenario.name, s, horizon, str(out_dir)
-                )
-                per_seed[str(seed)] = summary
-    except PolicyError as exc:
-        print(f"policy error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    seed_args = [(raw, scenario.name, s, horizon, str(out_dir)) for s in seeds]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_run_one_seed, *zip(*seed_args)))
+    else:
+        results = [_run_one_seed(*a) for a in seed_args]
+    per_seed = {str(seed): summary for seed, summary in results}
 
     problem = build_lp(scenario.cfg, scenario.cm, eps_g=scenario.eps_g)
     solution = solve_lp(problem)
@@ -539,17 +506,18 @@ def cmd_run(args) -> int:
 
 
 def _parse_seed_list(text: str) -> list[int]:
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated nonnegative integers, got {text!r}"
-        ) from None
-    if not seeds or any(s < 0 for s in seeds):
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts or not all(part.isdecimal() for part in parts):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated nonnegative integers, got {text!r}"
         )
-    return seeds
+    return [int(part) for part in parts]
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,7 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=_parse_seed_list, default=None, help="comma-separated seeds"
     )
     p_run.add_argument("--horizon", type=int, default=None, help="override slots")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel worker processes"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_lp = sub.add_parser("lp", help="solve the planning LP and print the report")
@@ -590,6 +560,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ScenarioError as exc:
+        for err in exc.errors:
+            print(f"config error: {err}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
     except PolicyError as exc:
         print(f"policy error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -83,15 +83,15 @@ class NetworkConfig:
                 f"({self.n_stations}, {self.n_users})"
             )
         else:
-            if np.any(rates < 0):
-                errors.append("arrival_rates must be nonnegative")
+            if not np.all(rates >= 0):  # NaN fails too
+                errors.append("arrival_rates must be nonnegative numbers")
             if np.any(rates > self.max_arrivals):
                 errors.append("arrival_rates must not exceed max_arrivals")
             off = ~self.adjacency_mask()
             if np.any(rates[off] != 0):
                 errors.append("arrival_rates must be zero off the adjacency")
         for name in ("switch_off_cost", "active_cost", "switch_on_cost", "sleep_cost"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 errors.append(f"{name} must be nonnegative")
         return errors
 

@@ -44,6 +44,20 @@ POLICY_DEFAULTS = {
 }
 
 
+def policy_errors(params: dict) -> list[str]:
+    """Every problem with a policy's name (if given) and parameter values."""
+    errors = []
+    if "name" in params and params["name"] not in POLICY_NAMES:
+        errors.append(f"name must be one of {POLICY_NAMES}")
+    for key in ("eps_s", "learning_floor"):
+        if key in params and not 0 <= params[key] <= 1:
+            errors.append(f"{key} must lie in [0, 1]")
+    for key in ("eps_g", "eps_p", "min_switch_gap"):
+        if key in params and not params[key] >= 0:
+            errors.append(f"{key} must be nonnegative")
+    return errors
+
+
 class PolicyError(Exception):
     """Raised when a policy cannot be constructed for the scenario."""
 
@@ -80,10 +94,9 @@ class Policy:
         eps_s: float = 0.0,
         min_switch_gap: int = 0,
     ):
-        if not 0.0 <= eps_s <= 1.0:
-            raise PolicyError("eps_s must lie in [0, 1]")
-        if min_switch_gap < 0:
-            raise PolicyError("min_switch_gap must be a nonnegative integer")
+        errors = policy_errors({"eps_s": eps_s, "min_switch_gap": min_switch_gap})
+        if errors:
+            raise PolicyError("; ".join(errors))
         self.cfg = cfg
         self.cm = cm
         self.eps_s = float(eps_s)

@@ -52,12 +52,14 @@ class ChannelModel:
         pmf = np.asarray(self.pmf, dtype=float)
         if pmf.shape != (len(self.states),):
             raise ValueError("pmf length must match number of states")
-        if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-9:
+        # written so that NaN entries fail
+        if not (np.all(pmf >= 0) and abs(pmf.sum() - 1.0) <= 1e-9):
             raise ValueError("pmf must be a probability vector")
         if self.interference not in (ONE_USER_PER_STATION, EXPLICIT):
             raise ValueError(f"unknown interference model {self.interference!r}")
-        if self.interference == EXPLICIT and self.explicit_regions is None:
-            raise ValueError("explicit interference needs explicit_regions")
+        n_regions = len(self.explicit_regions or ())
+        if self.interference == EXPLICIT and n_regions != len(self.states):
+            raise ValueError("explicit interference needs explicit_regions per state")
 
     @property
     def n_states(self) -> int:

@@ -122,6 +122,16 @@ def draw_channel_index(cum_pmf: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, cum_pmf.shape[0] - 1)
 
 
+def arrival_errors(cfg: NetworkConfig, arrival_law: str, scale: float) -> list[str]:
+    """Problems drawing ``arrival_law`` arrivals at ``scale`` times the base rates."""
+    if arrival_law not in ARRIVAL_LAWS:
+        return [f"arrival_law must be one of {ARRIVAL_LAWS}"]
+    limit = 1 if arrival_law == "bernoulli" else cfg.max_arrivals
+    if np.any(np.asarray(cfg.arrival_rates, dtype=float) * scale > limit):
+        return [f"{arrival_law} arrivals need rate <= {limit}; got scale {scale}"]
+    return []
+
+
 def run(
     cfg: NetworkConfig,
     cm: ChannelModel,
@@ -145,8 +155,6 @@ def run(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if arrival_law not in ARRIVAL_LAWS:
-        raise ValueError(f"arrival_law must be one of {ARRIVAL_LAWS}")
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -184,12 +192,9 @@ def run(
         if new_scale != scale:
             scale = new_scale
             rates_now = base_rates * scale
-            if arrival_law == "bernoulli" and np.any(rates_now > 1.0):
-                raise ValueError(
-                    f"bernoulli arrivals need rate <= 1; got scale {scale}"
-                )
-            if np.any(rates_now > cfg.max_arrivals):
-                raise ValueError("scaled arrival rate exceeds max_arrivals")
+            errors = arrival_errors(cfg, arrival_law, scale)
+            if errors:
+                raise ValueError(errors[0])
 
         if arrival_law == "bernoulli":
             a = (rng.random(shape) < rates_now).astype(np.int64)

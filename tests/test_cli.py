@@ -18,6 +18,7 @@ from bssched.cli import (
     EXIT_RUNTIME,
     ScenarioError,
     _parse_seed_list,
+    _positive_int,
     bundled_scenario_path,
     load_scenario,
     main,
@@ -111,6 +112,80 @@ def test_validate_rejects_unknown_policy_key(tmp_path, capsys, reference_config)
     assert "unknown key 'eps_ss'" in out
 
 
+def _set(*path_and_value):
+    """Edit that sets data[k1][k2]...[kn] = value on a scenario dict."""
+    *path, key, value = path_and_value
+
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[key] = value
+
+    return edit
+
+
+MALFORMED = {
+    "nan_pmf": (_set("channel", "pmf", [float("nan"), 0.5, 0.25, 0.25]), "pmf"),
+    "nan_arrival_rate": (_set("network", "arrival_rate", float("nan")), "arrival_rate"),
+    "string_max_rate": (_set("network", "max_rate", "2"), "max_rate"),
+    "string_cost": (_set("network", "costs", "active", "1.0"), "active"),
+    "cost_beyond_float_range": (_set("network", "costs", "sleep", 10**400), "sleep"),
+    "policy_not_object": (_set("policy", 5), "policy"),
+    "arrivals_not_object": (_set("arrivals", []), "arrivals"),
+    "run_not_object": (_set("run", []), "run"),
+    "fractional_max_arrivals": (_set("network", "max_arrivals", 1.5), "max_arrivals"),
+    "bool_horizon": (_set("run", "horizon", True), "horizon"),
+    "bool_eps_s": (_set("policy", "eps_s", True), "eps_s"),
+    "string_flag": (
+        _set("policy", "update_arrivals_every_slot", "yes"),
+        "update_arrivals_every_slot",
+    ),
+    "zero_window": (_set("run", "window", 0), "window"),
+    "bernoulli_regime_scale_20": (_set("arrivals", "regimes", [[10, 20.0]]), "regimes"),
+    "numeric_name": (_set("name", 7), "name"),
+    "numeric_state_name": (_set("channel", "states", 0, "name", 3), "states[0].name"),
+    "misspelt_network_key": (_set("network", "max_arivals", 1), "max_arivals"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_rejects_malformed_input(case, tmp_path, capsys, reference_config):
+    """Each defect alone is exactly one problem, exit 1, and names its key."""
+    edit, key = MALFORMED[case]
+    bad = copy.deepcopy(reference_config)
+    edit(bad)
+    path = write_config(tmp_path, bad)
+    assert main(["validate", "--config", str(path)]) == EXIT_INVALID_CONFIG
+    out = capsys.readouterr().out
+    assert "INVALID: 1 problem(s)" in out
+    assert key in out
+
+
+def test_validate_collects_problems_across_blocks(tmp_path, capsys, reference_config):
+    bad = copy.deepcopy(reference_config)
+    for case in ("string_max_rate", "nan_pmf", "bool_eps_s", "zero_window"):
+        MALFORMED[case][0](bad)
+    path = write_config(tmp_path, bad)
+    assert main(["validate", "--config", str(path)]) == EXIT_INVALID_CONFIG
+    out = capsys.readouterr().out
+    assert "INVALID: 4 problem(s)" in out
+    for key in ("max_rate", "pmf", "eps_s", "window"):
+        assert key in out
+
+
+def test_run_rejects_unreachable_regime_scale_before_writing(
+    tmp_path, capsys, reference_config
+):
+    bad = copy.deepcopy(reference_config)
+    MALFORMED["bernoulli_regime_scale_20"][0](bad)
+    path = write_config(tmp_path, bad)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out), "--horizon", "20"])
+    assert code == EXIT_INVALID_CONFIG
+    assert "config error: arrivals.regimes" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_validate_missing_file(tmp_path, capsys):
     code = main(["validate", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_INVALID_CONFIG
@@ -158,6 +233,26 @@ def test_parse_seed_list():
 def test_parse_seed_list_rejects_bad_input(text):
     with pytest.raises(argparse.ArgumentTypeError, match="nonnegative integers"):
         _parse_seed_list(text)
+
+
+def test_positive_int():
+    assert _positive_int("1") == 1
+    assert _positive_int("12") == 12
+
+
+@pytest.mark.parametrize("text", ["0", "-2", "a", "", "1.5"])
+def test_positive_int_rejects_bad_input(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="positive integer"):
+        _positive_int(text)
+
+
+def test_run_rejects_nonpositive_jobs(tmp_path, capsys):
+    config = str(bundled_scenario_path("reference"))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", config, "--out", str(tmp_path), "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

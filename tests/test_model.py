@@ -54,6 +54,15 @@ def test_config_rejects_offadjacency_rates():
         small_cfg(arrival_rates=rates)
 
 
+def test_config_rejects_nan_rates_and_costs():
+    rates = np.zeros((3, 2))
+    rates[0, 0] = np.nan
+    with pytest.raises(ValueError, match="arrival_rates must be nonnegative"):
+        small_cfg(arrival_rates=rates)
+    with pytest.raises(ValueError, match="active_cost must be nonnegative"):
+        small_cfg(active_cost=np.nan)
+
+
 def test_config_rejects_negative_cost():
     with pytest.raises(ValueError, match="nonnegative"):
         small_cfg(active_cost=-1.0)

@@ -48,6 +48,12 @@ def test_pmf_must_sum_to_one():
         ChannelModel(states=(state,), pmf=np.array([0.7]))
 
 
+def test_pmf_rejects_nan():
+    states = tuple(ChannelState(name=f"h{i}", rates=np.array([[1, 1]])) for i in (0, 1))
+    with pytest.raises(ValueError, match="probability"):
+        ChannelModel(states=states, pmf=np.array([np.nan, 0.5]))
+
+
 def test_explicit_interference_needs_regions():
     state = ChannelState(name="h0", rates=np.array([[1, 1]]))
     with pytest.raises(ValueError, match="explicit_regions"):
