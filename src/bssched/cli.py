@@ -234,7 +234,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             regime = RegimeSchedule(changes=arrivals["regimes"])
         except ValueError as exc:
             errors.append(f"arrivals: bad regimes: {exc}")
-    if arrivals is not None and cfg is not None:
+    if arrivals is not None:
         sched = regime or RegimeSchedule(changes=())
         scales = [sched.scale_at(1)] + [x for _, x in sched.changes]
         problems = [e for x in scales for e in arrival_errors(cfg, arrivals["law"], x)]
@@ -317,7 +317,11 @@ def _write_csv(path: Path, trace, window: int) -> None:
 
 
 def _run_one_seed(raw_config: dict, name: str, seed: int, horizon: int, out_dir: str):
-    """Worker for one (scenario, seed) run; safe to call in a subprocess."""
+    """Worker for one (scenario, seed) run; safe to call in a subprocess.
+
+    Returns the seed, its summary, and the ``lp`` block of the policy's
+    own planning solution (None when the policy holds none).
+    """
     scenario = parse_scenario(raw_config, name=name)
     rng = np.random.default_rng(seed)
     policy = make_policy(
@@ -336,7 +340,10 @@ def _run_one_seed(raw_config: dict, name: str, seed: int, horizon: int, out_dir:
     csv_path = Path(out_dir) / f"{scenario.name}_seed{seed}.csv"
     _write_csv(csv_path, trace, scenario.window)
     half = trace.horizon // 2 + 1
-    return seed, {
+    plan = policy.solution
+    if plan is not None:
+        plan = _lp_block(plan, scenario.eps_g)
+    return seed, plan, {
         "csv": csv_path.name,
         "avg_cost": trace.avg_cost,
         "mean_total_queue": float(trace.total_queue.mean()),
@@ -349,11 +356,22 @@ def _run_one_seed(raw_config: dict, name: str, seed: int, horizon: int, out_dir:
         "explore_slots": int(trace.explore.sum()),
         "mu_err_final": _nan_to_none(trace.mu_err[-1]),
         "lambda_err_final": _nan_to_none(trace.lambda_err[-1]),
+        "lp_solves": policy.lp_solves,
+        "lp_warm_solves": policy.lp_warm_solves,
+        "lp_pivots": policy.lp_pivots,
     }
 
 
 def _nan_to_none(x: float):
     return None if np.isnan(x) else float(x)
+
+
+def _lp_block(solution, eps_g: float) -> dict:
+    """The ``lp`` block of summary.json for a planning LP solution."""
+    block = {"status": solution.status, "eps_g": eps_g}
+    if solution.status == "optimal":
+        block["objective"] = solution.objective
+    return block
 
 
 def _lp_report(scenario: Scenario, eps_g: float, eps_p: float, seed: int) -> dict:
@@ -454,13 +472,13 @@ def cmd_run(args) -> int:
             results = list(pool.map(_run_one_seed, *zip(*seed_args)))
     else:
         results = [_run_one_seed(*a) for a in seed_args]
-    per_seed = {str(seed): summary for seed, summary in results}
+    per_seed = {str(seed): summary for seed, _, summary in results}
 
-    problem = build_lp(scenario.cfg, scenario.cm, eps_g=scenario.eps_g)
-    solution = solve_lp(problem)
-    lp_block = {"status": solution.status, "eps_g": scenario.eps_g}
-    if solution.status == "optimal":
-        lp_block["objective"] = solution.objective
+    # A policy that plans under the true parameters already solved this LP.
+    lp_block = results[0][1]
+    if lp_block is None:
+        problem = build_lp(scenario.cfg, scenario.cm, eps_g=scenario.eps_g)
+        lp_block = _lp_block(solve_lp(problem), scenario.eps_g)
 
     costs = [per_seed[str(s)]["avg_cost"] for s in seeds]
     fractions = [per_seed[str(s)]["stability_fraction"] for s in seeds]

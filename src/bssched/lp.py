@@ -84,6 +84,8 @@ class LpSolution:
     beta: dict[tuple[int, int], np.ndarray] | None
     x: np.ndarray | None
     iterations: int
+    basis: np.ndarray | None = None  # optimal basis of the standard form
+    warm: bool = False  # the answer came from a warm start
 
 
 def build_lp(
@@ -162,12 +164,15 @@ def solve_lp(
     lam: np.ndarray | None = None,
     eps_g: float | None = None,
     tol: float = DEFAULT_TOL,
+    basis: np.ndarray | None = None,
 ) -> LpSolution:
     """Solve the planning LP; optionally override cost, pmf or arrival target.
 
     The coverage inequalities get surplus variables and everything is handed
     to the deterministic two-phase simplex, so equal inputs always return
-    the identical basic optimal solution.
+    the identical basic optimal solution. ``basis``, the ``basis`` of an
+    earlier solution of the same problem, warm starts the simplex; a
+    re-solve under moved estimates then pivots only where they differ.
     """
     from .simplex import SimplexError, solve_standard_form
 
@@ -184,9 +189,11 @@ def solve_lp(
     b = np.concatenate([problem.b_eq, b_ub])
     c = np.concatenate([cost, np.zeros(n_ub)])
 
-    result = solve_standard_form(c, a, b, tol=tol)
+    result = solve_standard_form(c, a, b, tol=tol, basis=basis)
     if result.status == "infeasible":
-        return LpSolution("infeasible", None, None, None, None, result.iterations)
+        return LpSolution(
+            "infeasible", None, None, None, None, result.iterations, warm=result.warm
+        )
     if result.status != "optimal":
         raise SimplexError(f"unexpected solver status {result.status!r}")
 
@@ -204,6 +211,8 @@ def solve_lp(
         beta=beta,
         x=x,
         iterations=result.iterations,
+        basis=result.basis,
+        warm=result.warm,
     )
 
 

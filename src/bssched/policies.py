@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .lp import beta_to_alpha, build_lp, perturb_cost, solve_lp
+from .lp import LpSolution, beta_to_alpha, build_lp, perturb_cost, solve_lp
 from .model import NetworkConfig, activation_id, all_on
 from .rateregion import ChannelModel, RateRegion, full_region
 from .sim import draw_channel_index
@@ -81,11 +81,21 @@ def _clean_pmf(v: np.ndarray) -> np.ndarray:
 
 
 class Policy:
-    """Common state: the previous activation, the resample coin, estimates."""
+    """Common state: the previous activation, the resample coin, estimates.
+
+    ``solution`` is the planning LP solved under the true parameters, for
+    the policies that plan with it. ``lp_solves``, ``lp_warm_solves`` and
+    ``lp_pivots`` count the policy's own LP solves, those answered from a
+    warm start, and their simplex pivots.
+    """
 
     name = "policy"
     mu_hat: np.ndarray | None = None
     lambda_hat: np.ndarray | None = None
+    solution: LpSolution | None = None
+    lp_solves = 0
+    lp_warm_solves = 0
+    lp_pivots = 0
 
     def __init__(
         self,
@@ -109,6 +119,14 @@ class Policy:
         self._j = np.asarray(j0, dtype=np.int64).copy()
         self._last_switch = None
         self.resample_count = 0
+
+    def _solve(self, problem, **kwargs) -> LpSolution:
+        """``solve_lp(problem, **kwargs)``, counted in the LP telemetry."""
+        solution = solve_lp(problem, **kwargs)
+        self.lp_solves += 1
+        self.lp_warm_solves += int(solution.warm)
+        self.lp_pivots += solution.iterations
+        return solution
 
     def _resample_coin(self, t: int, rng: np.random.Generator) -> bool:
         """True w.p. eps_s, recording a resample event at slot t.
@@ -167,7 +185,7 @@ class _ResamplingActivation(Policy):
         super().__init__(cfg, cm, eps_s, min_switch_gap)
         self.eps_g = float(eps_g)
         self.problem = build_lp(cfg, cm, eps_g=eps_g)
-        solution = solve_lp(self.problem)
+        solution = self._solve(self.problem)
         if solution.status != "optimal":
             raise PolicyError(
                 "planning LP is infeasible: the scenario cannot be stabilized "
@@ -236,6 +254,11 @@ class LearningMaxWeight(Policy):
     then leave j_tilde unchanged, as they also do whenever the estimated LP
     is infeasible.
 
+    Each re-solve warm starts the simplex from the optimal basis of the
+    last optimal re-solve, which stays optimal or nearly so while the
+    estimates move little; ``reset`` drops it, so every run starts cold and
+    its solves depend on nothing but its own history.
+
     The tracking variant keeps both the explore probability and the
     estimate learning rate from decaying below ``learning_floor`` so the
     policy follows slow changes in the arrival process.
@@ -275,6 +298,7 @@ class LearningMaxWeight(Policy):
         self._estimate_version = 0
         self._solved_version = -1
         self._sigma_hat: np.ndarray | None = None
+        self._basis: np.ndarray | None = None
         self._j_tilde = all_on(cfg.n_stations)
 
     def reset(self, j0: np.ndarray) -> None:
@@ -287,6 +311,8 @@ class LearningMaxWeight(Policy):
         self._estimate_version = 0
         self._solved_version = -1
         self._sigma_hat = None
+        self._basis = None
+        self.lp_solves = self.lp_warm_solves = self.lp_pivots = 0
 
     def explore_probability(self, t: int) -> float:
         base = 2.0 * math.log(t) / t if t >= 1 else 0.0
@@ -307,21 +333,26 @@ class LearningMaxWeight(Policy):
         The LP depends only on the estimates, and the solver is
         deterministic, so re-solving with unchanged estimates would return
         the identical sigma_hat; the solution is cached per estimate
-        version. Without estimates, or when the estimated LP is infeasible,
-        j_tilde stays as it is.
+        version. A re-solve starts from the basis of the last optimal one;
+        the perturbed cost makes the optimum unique, so the warm start
+        returns the sigma_hat a cold solve would. Without estimates, or when
+        the estimated LP is infeasible, j_tilde stays as it is, and an
+        infeasible re-solve keeps the previous basis.
         """
         if self.explore_count == 0 and self._lambda_count == 0:
             return
         if self._solved_version != self._estimate_version:
-            solution = solve_lp(
+            solution = self._solve(
                 self.problem,
                 cost=self.cost,
                 mu=self.mu_hat,
                 lam=self.lambda_hat,
+                basis=self._basis,
             )
-            self._sigma_hat = (
-                _clean_pmf(solution.sigma) if solution.status == "optimal" else None
-            )
+            self._sigma_hat = None
+            if solution.status == "optimal":
+                self._sigma_hat = _clean_pmf(solution.sigma)
+                self._basis = solution.basis
             self._solved_version = self._estimate_version
         if self._sigma_hat is not None:
             j_idx = draw_channel_index(np.cumsum(self._sigma_hat), rng)

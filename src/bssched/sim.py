@@ -122,10 +122,17 @@ def draw_channel_index(cum_pmf: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, cum_pmf.shape[0] - 1)
 
 
-def arrival_errors(cfg: NetworkConfig, arrival_law: str, scale: float) -> list[str]:
-    """Problems drawing ``arrival_law`` arrivals at ``scale`` times the base rates."""
+def arrival_errors(
+    cfg: NetworkConfig | None, arrival_law: str, scale: float
+) -> list[str]:
+    """Problems drawing ``arrival_law`` arrivals at ``scale`` times the base rates.
+
+    Without a ``cfg`` (the network block is invalid) only the law is checked.
+    """
     if arrival_law not in ARRIVAL_LAWS:
         return [f"arrival_law must be one of {ARRIVAL_LAWS}"]
+    if cfg is None:
+        return []
     limit = 1 if arrival_law == "bernoulli" else cfg.max_arrivals
     if np.any(np.asarray(cfg.arrival_rates, dtype=float) * scale > limit):
         return [f"{arrival_law} arrivals need rate <= {limit}; got scale {scale}"]

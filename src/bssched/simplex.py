@@ -6,6 +6,20 @@ the smallest basic variable index), which cannot cycle, so the iteration
 cap only trips on genuinely pathological input and raises instead of
 returning a wrong answer. The solver is deterministic: the same problem
 always produces the same basis and the same optimal vertex.
+
+A solve may start warm from a basis, typically the optimal basis of a
+nearby problem. When that basis is full-size and nonsingular, [A | b] is
+first made canonical in it (B^-1 A, B^-1 b); rows whose right-hand side
+turns negative are negated and get an artificial variable, the others keep
+their basic variable. Without a usable basis every row gets an artificial,
+which is the cold start. Both then run the same phase 1, artificial
+drive-out and phase 2, so Bland's rule still guarantees termination, and a
+warm start only shortens phase 1 when few rows lost feasibility.
+
+Every optimal answer carries a certificate recomputed from the original
+A, b and c: the primal residual, nonnegativity of x, and dual feasibility
+of the reduced costs of its basis. A warm answer that fails it is solved
+again cold; a cold answer that fails it raises ``SimplexError``.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ class SimplexResult:
     objective: float | None
     basis: np.ndarray | None
     iterations: int
+    warm: bool = False  # the answer came from a warm start
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -83,45 +98,142 @@ def _run_phase(
             raise SimplexError(f"pivot limit {max_iter} exceeded")
 
 
+# An optimal answer is certified when its primal residual, negative entries
+# and negative reduced costs stay within CERTIFICATE_SLACK * tol of the
+# problem's scale: loose enough for the round-off of a few thousand pivots,
+# tight enough to reject a wrong basis.
+CERTIFICATE_SLACK = 100.0
+
+
 def solve_standard_form(
     c: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     tol: float = 1e-9,
     max_iter: int | None = None,
+    basis: np.ndarray | None = None,
 ) -> SimplexResult:
     """Minimize c.x over {A x = b, x >= 0}.
 
     Returns an optimal basic solution, or status "infeasible"/"unbounded".
+    ``basis`` (m column indices, e.g. a previous result's ``basis``) warm
+    starts the solve; a short, singular or malformed one is ignored. The
+    result's ``warm`` says whether the answer came from the warm start.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = a.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
     if max_iter is None:
         max_iter = max(5000, 100 * (m + n))
+    b_scale = abs(b).max(initial=0.0)
 
-    negative = b < 0
-    a[negative] *= -1.0
-    b[negative] *= -1.0
+    pivots = 0
+    start = _canonical(c, a, b, basis, tol)
+    if start is not None:
+        result = _two_phase(c, *start, b_scale, tol, max_iter)
+        if result.status != "optimal" or _certified(c, a, b, result, tol):
+            result.warm = True
+            return result
+        pivots = result.iterations
+    result = _two_phase(c, a, b, None, b_scale, tol, max_iter)
+    result.iterations += pivots
+    if result.status == "optimal" and not _certified(c, a, b, result, tol):
+        raise SimplexError("optimal answer failed its certificate")
+    return result
 
-    # Phase 1 tableau: original columns, artificial identity, rhs.
-    tableau = np.zeros((m + 1, n + m + 1))
+
+def _canonical(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray | None, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(B^-1 a, B^-1 b, basic column of each row) for a usable basis, else None."""
+    if basis is None:
+        return None
+    m, n = a.shape
+    basis = np.asarray(basis, dtype=np.int64)
+    if basis.shape != (m,) or not np.all((basis >= 0) & (basis < n)):
+        return None
+    inverse = _basis_inverse(c, a, basis, tol)
+    if inverse is None:
+        return None
+    b_inv, _, row_of = inverse
+    # einsum, not BLAS matmul, whose sums (and so the warm path's pivots)
+    # change with the BLAS thread count.
+    rows = np.einsum("ij,jk->ik", b_inv, np.column_stack([a, b]))
+    basic = basis[row_of]
+    rows[:, basic] = 0.0  # keep the basic columns exactly canonical
+    rows[np.arange(m), basic] = 1.0
+    return rows[:, :-1], rows[:, -1], basic
+
+
+def _basis_inverse(
+    c: np.ndarray, a: np.ndarray, basis: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Row-permuted B^-1, the duals y with B^T y = c_B, and the row permutation.
+
+    Gauss-Jordan on [[B, I], [c_B, 0]], B = a[:, basis]: each basis column
+    is pivoted into the unused row where its entry is largest (partial
+    pivoting), which leaves [[P, P B^-1], [0, -y]]. ``row_of[i]`` is the
+    position in ``basis`` of the column basic in row i (-1 for rows left
+    without one when ``basis`` is short). None when the columns are
+    dependent. Built on ``_pivot`` rather than LAPACK, whose code and
+    buffers would cost a few MB of resident memory.
+    """
+    m, k = a.shape[0], basis.size
+    tableau = np.zeros((m + 1, k + m))
+    tableau[:m, :k] = a[:, basis]
+    tableau[:m, k:] = np.eye(m)
+    tableau[-1, :k] = c[basis]
+    row_of = np.full(m, -1)
+    for col in range(k):
+        entries = np.abs(tableau[:m, col])
+        entries[row_of >= 0] = -1.0
+        row = int(np.argmax(entries))
+        if entries[row] <= tol:
+            return None
+        _pivot(tableau, row, col)
+        row_of[row] = col
+    return tableau[:m, k:], -tableau[-1, k:], row_of
+
+
+def _two_phase(
+    c: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    start: np.ndarray | None,
+    b_scale: float,
+    tol: float,
+    max_iter: int,
+) -> SimplexResult:
+    """Phase 1, drive-out and phase 2 from ``start``, in which [a | b] is canonical.
+
+    Rows with b < 0 are negated. Artificials go on those rows, or on every
+    row when there is no ``start`` (the cold start).
+    """
+    m, n = a.shape
+    flipped = np.flatnonzero(b < 0)
+    art = np.arange(m) if start is None else flipped
+    k = art.size
+
+    # Phase 1 tableau: original columns, artificial columns, rhs.
+    tableau = np.zeros((m + 1, n + k + 1))
     tableau[:m, :n] = a
-    tableau[:m, n : n + m] = np.eye(m)
     tableau[:m, -1] = b
-    tableau[-1, : n + m] = -tableau[:m, : n + m].sum(axis=0)
-    tableau[-1, n : n + m] = 0.0
-    tableau[-1, -1] = -b.sum()
-    basis = np.arange(n, n + m)
+    tableau[flipped] *= -1.0
+    tableau[art, n + np.arange(k)] = 1.0
+    art_rows = tableau[:m] if start is None else tableau[art]
+    tableau[-1, :n] = -art_rows[:, :n].sum(axis=0)
+    tableau[-1, -1] = -np.abs(b[art]).sum()
+    basis = np.arange(n, n + m) if start is None else start
+    basis[art] = n + np.arange(k)
 
-    status, it1 = _run_phase(tableau, basis, n + m, tol, max_iter)
+    status, it1 = _run_phase(tableau, basis, n + k, tol, max_iter)
     if status == "unbounded":
         raise SimplexError("phase 1 reported unbounded")
     phase1_obj = -tableau[-1, -1]
-    if phase1_obj > tol * (1.0 + abs(b).max(initial=0.0)):
+    if phase1_obj > tol * (1.0 + b_scale):
         return SimplexResult("infeasible", None, None, None, it1)
 
     # Drive leftover artificial variables out of the basis. A row where no
@@ -155,3 +267,31 @@ def solve_standard_form(
     x = np.zeros(n)
     x[basis] = tableau[:-1, -1]
     return SimplexResult("optimal", x, float(c @ x), basis.copy(), iterations)
+
+
+def _certified(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, result: SimplexResult, tol: float
+) -> bool:
+    """Primal residual, x >= 0 and dual feasibility, recomputed from a, b, c.
+
+    The duals come from a fresh elimination of the result's basis columns
+    of the original a (``_basis_inverse``), so the reduced costs c - a^T y
+    do not inherit the tableau's round-off.
+    """
+    x = result.x
+    slack = CERTIFICATE_SLACK * tol
+    a_max = max(a.max(initial=0.0), -a.min(initial=0.0))
+    residual = np.abs(a @ x - b).max(initial=0.0)
+    if residual > slack * (1.0 + abs(b).max(initial=0.0) + a_max * abs(x).sum()):
+        return False
+    if x.min(initial=0.0) < -slack * (1.0 + abs(x).max(initial=0.0)):
+        return False
+    inverse = _basis_inverse(c, a, result.basis, tol)
+    if inverse is None:
+        return False
+    y = inverse[1]
+    reduced = c - a.T @ y
+    return bool(
+        reduced.min(initial=0.0)
+        >= -slack * (1.0 + abs(c).max(initial=0.0) + a_max * abs(y).sum())
+    )

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bssched.cli as cli_module
+import bssched.policies as policies_module
 from bssched.cli import (
     CSV_COLUMNS,
     EXIT_INFEASIBLE,
@@ -24,8 +26,10 @@ from bssched.cli import (
     main,
     parse_scenario,
 )
+from bssched.lp import build_lp, solve_lp
 from bssched.policies import POLICY_DEFAULTS, make_policy
 from bssched.rateregion import reference_scenario
+from bssched.sim import run
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -171,6 +175,17 @@ def test_validate_collects_problems_across_blocks(tmp_path, capsys, reference_co
     assert "INVALID: 4 problem(s)" in out
     for key in ("max_rate", "pmf", "eps_s", "window"):
         assert key in out
+
+
+def test_unknown_law_is_reported_beside_network_problems(reference_config):
+    bad = copy.deepcopy(reference_config)
+    bad["arrivals"] = {"law": "poisson"}
+    MALFORMED["string_max_rate"][0](bad)
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(bad)
+    assert len(caught.value.errors) == 2
+    assert any("network.max_rate" in err for err in caught.value.errors)
+    assert any("arrival_law must be one of" in err for err in caught.value.errors)
 
 
 def test_run_rejects_unreachable_regime_scale_before_writing(
@@ -526,6 +541,63 @@ def test_run_regime_scenario(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["regimes"] == [[50001, 0.5]]
     assert summary["policy"] == "algorithm1_tracking"
+
+
+def test_summary_reports_the_policys_own_lp_solves(
+    tmp_path, monkeypatch, reference_config
+):
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "solve_lp", counting_solve)
+    monkeypatch.setattr(policies_module, "solve_lp", counting_solve)
+    cfg, cm = reference_scenario()
+    planned = solve_lp(build_lp(cfg, cm, eps_g=0.05))
+
+    def summary_of(data, horizon, seeds):
+        calls.clear()
+        out = tmp_path / data["policy"]["name"]
+        path = write_config(tmp_path, data)
+        argv = ["run", "--config", str(path), "--out", str(out),
+                "--horizon", str(horizon), "--seeds", seeds]
+        assert main(argv) == EXIT_OK
+        return json.loads((out / "summary.json").read_text())
+
+    split = copy.deepcopy(reference_config)
+    split["policy"] = {"name": "static_split_mw"}
+    summary = summary_of(split, 20, "0,1")
+    assert len(calls) == 2  # one per seed, none for the summary's lp block
+    assert summary["lp"] == {
+        "status": "optimal", "eps_g": 0.05, "objective": planned.objective
+    }
+    for seed in ("0", "1"):
+        seed_summary = summary["seeds"][seed]
+        assert seed_summary["lp_solves"] == 1
+        assert seed_summary["lp_warm_solves"] == 0
+        assert seed_summary["lp_pivots"] == planned.iterations > 0
+
+    always = copy.deepcopy(reference_config)
+    always["policy"] = {"name": "always_on"}
+    summary = summary_of(always, 20, "0,1")
+    assert len(calls) == 1  # the summary's lp block
+    assert summary["lp"]["objective"] == planned.objective
+    for seed_summary in summary["seeds"].values():
+        assert seed_summary["lp_solves"] == seed_summary["lp_pivots"] == 0
+
+    regime = json.loads(bundled_scenario_path("reference_regime").read_text())
+    seed_summary = summary_of(regime, 250, "0")["seeds"]["0"]
+    scenario = parse_scenario(regime)
+    rng = np.random.default_rng(0)
+    policy = make_policy(
+        scenario.policy_name, scenario.cfg, scenario.cm, rng, scenario.policy_params
+    )
+    run(scenario.cfg, scenario.cm, policy, 250, seed=0, rng=rng, regime=scenario.regime)
+    assert seed_summary["lp_solves"] == policy.lp_solves > 1
+    assert 0 < seed_summary["lp_warm_solves"] == policy.lp_warm_solves
+    assert seed_summary["lp_pivots"] == policy.lp_pivots
 
 
 def test_csv_columns_frozen():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import bssched.policies as policies_module
+from bssched.cli import bundled_scenario_path, load_scenario
 from bssched.model import NetworkConfig, activation_id, step_queues
 from bssched.policies import (
     POLICY_NAMES,
@@ -439,8 +441,6 @@ def test_resample_solves_once_per_estimate_version(reference, monkeypatch):
     policy.explore_count = 1
     policy._estimate_version += 1
 
-    import bssched.policies as policies_module
-
     real_solve = policies_module.solve_lp
     calls = []
 
@@ -455,6 +455,69 @@ def test_resample_solves_once_per_estimate_version(reference, monkeypatch):
     policy._estimate_version += 1
     policy._resample_j_tilde(rng)
     assert len(calls) == 2
+
+
+def test_infeasible_resolve_keeps_the_previous_basis(reference):
+    cfg, cm = reference
+    rng = np.random.default_rng(0)
+    policy = LearningMaxWeight(cfg, cm, eps_s=1.0, eps_p=0.01, eps_g=0.05, rng=rng)
+    policy.mu_hat = np.asarray(cm.pmf, dtype=float)
+    policy.lambda_hat = np.asarray(cfg.arrival_rates, dtype=float)
+    policy.explore_count = 1
+    policy._estimate_version += 1
+    policy._resample_j_tilde(rng)
+    basis = policy._basis
+    assert basis is not None and policy.lp_warm_solves == 0
+
+    policy.lambda_hat = adjacency_matrix(cfg, 0.5)  # past the capacity region
+    policy._estimate_version += 1
+    policy._resample_j_tilde(rng)
+    assert policy._sigma_hat is None and policy._basis is basis
+
+    policy.lambda_hat = 0.9 * np.asarray(cfg.arrival_rates, dtype=float)
+    policy._estimate_version += 1
+    policy._resample_j_tilde(rng)
+    assert policy._sigma_hat is not None
+    assert (policy.lp_solves, policy.lp_warm_solves) == (3, 2)
+
+
+def test_warm_resolves_leave_the_run_unchanged(monkeypatch):
+    """2,000 slots of reference_regime, warm against cold re-solves."""
+    scenario = load_scenario(bundled_scenario_path("reference_regime"))
+
+    def simulate():
+        rng = np.random.default_rng(0)
+        policy = make_policy(
+            scenario.policy_name, scenario.cfg, scenario.cm, rng, scenario.policy_params
+        )
+        trace = run(
+            scenario.cfg,
+            scenario.cm,
+            policy,
+            horizon=2000,
+            seed=0,
+            rng=rng,
+            regime=scenario.regime,
+            arrival_law=scenario.arrival_law,
+        )
+        return policy, trace
+
+    warm_policy, warm = simulate()
+    real_solve = policies_module.solve_lp
+
+    def solve_dropping_basis(*args, basis=None, **kwargs):
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(policies_module, "solve_lp", solve_dropping_basis)
+    cold_policy, cold = simulate()
+
+    for field in dataclasses.fields(warm):
+        np.testing.assert_array_equal(
+            getattr(warm, field.name), getattr(cold, field.name), err_msg=field.name
+        )
+    assert warm_policy.lp_solves == cold_policy.lp_solves > 10
+    assert cold_policy.lp_warm_solves == 0 < warm_policy.lp_warm_solves
+    assert warm_policy.lp_pivots < cold_policy.lp_pivots
 
 
 def test_update_arrivals_every_slot(reference):
@@ -488,7 +551,10 @@ def test_reset_clears_learning_state(reference):
     policy = LearningMaxWeight(cfg, cm, eps_s=0.1, eps_p=0.01, eps_g=0.05, rng=rng)
     run(cfg, cm, policy, horizon=2000, rng=rng)
     assert policy.explore_count > 0
+    assert policy._basis is not None and policy.lp_warm_solves > 0
     policy.reset(np.zeros(3, dtype=np.int64))
+    assert policy._basis is None
+    assert policy.lp_solves == policy.lp_warm_solves == policy.lp_pivots == 0
     assert policy.explore_count == 0
     assert policy.resample_count == 0
     assert not policy.mu_hat.any()

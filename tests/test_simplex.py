@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bssched.simplex as simplex_module
 from bssched import SimplexError, solve_standard_form
 
 from oracles import bfs_minimum
@@ -126,3 +129,152 @@ def test_matches_scipy_on_random_instances_with_equalities():
         assert res.objective == pytest.approx(ref.fun, abs=1e-8)
         assert np.max(np.abs(a @ res.x - b)) < 1e-8
         assert np.all(res.x >= -1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Warm starts and the optimality certificate
+# ---------------------------------------------------------------------------
+
+
+def _random_feasible(rng, m, n):
+    """min c@x, a@x = b, x >= 0 with a feasible point and generic positive c."""
+    a = rng.uniform(-1.0, 2.0, size=(m, n))
+    b = a @ rng.uniform(0.0, 2.0, size=n)
+    c = rng.uniform(0.1, 2.0, size=n)  # positive costs keep it bounded
+    return c, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 4),
+    extra=st.integers(1, 4),
+    keep_feasible=st.booleans(),
+)
+def test_warm_resolve_matches_cold(seed, m, extra, keep_feasible):
+    """Change some rows of a and b, re-solve from the old optimal basis."""
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    c, a, b = _random_feasible(rng, m, n)
+    first = solve_standard_form(c, a, b)
+    assert first.status == "optimal"
+
+    rows = rng.random(m) < 0.5
+    rows[rng.integers(m)] = True
+    a2, b2 = a.copy(), b.copy()
+    a2[rows] = rng.uniform(-1.0, 2.0, size=(int(rows.sum()), n))
+    if keep_feasible:
+        b2 = a2 @ rng.uniform(0.0, 2.0, size=n)
+    else:  # the changed rows may now admit no x >= 0
+        b2[rows] = rng.uniform(-2.0, 2.0, size=int(rows.sum()))
+
+    warm = solve_standard_form(c, a2, b2, basis=first.basis)
+    cold = solve_standard_form(c, a2, b2)
+    best, _ = bfs_minimum(c, a2, b2)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.objective == pytest.approx(best, abs=1e-9)
+        assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-9)  # c is generic
+    else:
+        assert cold.status == "infeasible" and best is None
+
+
+def test_warm_start_from_optimal_basis_needs_no_pivot():
+    c, a, b = _random_feasible(np.random.default_rng(3), 3, 6)
+    cold = solve_standard_form(c, a, b)
+    warm = solve_standard_form(c, a, b, basis=cold.basis)
+    assert not cold.warm and warm.warm
+    assert cold.iterations > 0 and warm.iterations == 0
+    assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-12)
+    assert np.array_equal(np.sort(warm.basis), np.sort(cold.basis))
+
+
+def test_warm_start_detects_infeasibility():
+    # x1 + x2 = 1, x1 - x2 = 0, then the first row moves to x1 + x2 = -1
+    a = np.array([[1.0, 1.0], [1.0, -1.0]])
+    first = solve_standard_form(np.array([1.0, 2.0]), a, np.array([1.0, 0.0]))
+    assert first.status == "optimal"
+    b2 = np.array([-1.0, 0.0])
+    warm = solve_standard_form(np.array([1.0, 2.0]), a, b2, basis=first.basis)
+    cold = solve_standard_form(np.array([1.0, 2.0]), a, b2)
+    assert warm.status == cold.status == "infeasible"
+    assert warm.warm and warm.x is None and warm.basis is None
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [0, 1],  # columns 0 and 1 are parallel: singular
+        [2],  # short, as a basis becomes after a redundant row is dropped
+        [2, 2],  # repeated column
+        [0, 7],  # no such column
+    ],
+)
+def test_unusable_basis_falls_back_to_cold(basis):
+    a = np.array([[1.0, 2.0, 1.0, 0.0], [2.0, 4.0, 0.0, 1.0]])
+    b = np.array([3.0, 5.0])
+    c = np.array([-1.0, -1.5, 0.0, 0.0])
+    cold = solve_standard_form(c, a, b)
+    res = solve_standard_form(c, a, b, basis=np.array(basis))
+    assert not res.warm
+    assert res.iterations == cold.iterations
+    assert np.array_equal(res.x, cold.x) and np.array_equal(res.basis, cold.basis)
+
+
+def test_short_basis_after_redundant_rows_restarts_cold():
+    a = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    b = np.array([1.0, 1.0, 0.0])
+    first = solve_standard_form(np.array([1.0, 2.0]), a, b)
+    assert first.basis.size == 2  # one redundant row was dropped
+    again = solve_standard_form(np.array([1.0, 2.0]), a, b, basis=first.basis)
+    assert not again.warm and np.array_equal(again.x, first.x)
+
+
+def test_warm_answer_failing_its_certificate_is_solved_cold(monkeypatch):
+    c, a, b = _random_feasible(np.random.default_rng(5), 3, 6)
+    cold = solve_standard_form(c, a, b)
+    a2 = a.copy()
+    a2[0] += 0.3
+    b2 = a2 @ np.full(6, 0.5)
+    reference_warm = solve_standard_form(c, a2, b2, basis=cold.basis)
+    reference_cold = solve_standard_form(c, a2, b2)
+    assert reference_warm.warm
+
+    real = simplex_module._certified
+    calls = []
+
+    def reject_first(*args):
+        calls.append(1)
+        return len(calls) > 1 and real(*args)
+
+    monkeypatch.setattr(simplex_module, "_certified", reject_first)
+    res = solve_standard_form(c, a2, b2, basis=cold.basis)
+    assert len(calls) == 2  # the warm answer, then its cold replacement
+    assert not res.warm
+    assert np.array_equal(res.x, reference_cold.x)
+    assert res.iterations == reference_warm.iterations + reference_cold.iterations
+
+
+def test_cold_answer_failing_its_certificate_raises(monkeypatch):
+    c, a, b = _random_feasible(np.random.default_rng(5), 3, 6)
+    monkeypatch.setattr(simplex_module, "_certified", lambda *args: False)
+    with pytest.raises(SimplexError, match="certificate"):
+        solve_standard_form(c, a, b)
+
+
+def test_certificate_rejects_a_wrong_vertex():
+    # max x + 2y over x + y <= 1: the optimum is y = 1, the vertex x = 1 is not
+    c, a, b = to_standard_with_slack(
+        np.array([-1.0, -2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    )
+    res = solve_standard_form(c, a, b)
+    assert res.x == pytest.approx([0.0, 1.0, 0.0]) and res.warm is False
+    assert simplex_module._certified(c, a, b, res, 1e-9)
+    wrong = solve_standard_form(np.array([-2.0, -1.0, 0.0]), a, b)
+    assert wrong.x == pytest.approx([1.0, 0.0, 0.0])
+    assert not simplex_module._certified(c, a, b, wrong, 1e-9)  # dual infeasible
+    res.x = res.x + 1e-3
+    assert not simplex_module._certified(c, a, b, res, 1e-9)  # a @ x != b
+    res.x = np.array([-0.5, 1.5, 0.0])
+    assert not simplex_module._certified(c, a, b, res, 1e-9)  # x < 0
