@@ -68,7 +68,6 @@ class Scenario:
     seeds: list[int]
     window: int
     q_bar: float
-    drift_window: int
     raw: dict
 
     @property
@@ -268,7 +267,6 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         seeds=list(run_blk["seeds"]),
         window=run_blk["window"],
         q_bar=run_blk["q_bar"],
-        drift_window=run_blk["drift_window"],
         raw=data,
     )
 
@@ -332,7 +330,6 @@ def _run_one_seed(raw_config: dict, name: str, seed: int, horizon: int, out_dir:
         scenario.cm,
         policy,
         horizon=horizon,
-        seed=seed,
         rng=rng,
         regime=scenario.regime,
         arrival_law=scenario.arrival_law,
@@ -538,6 +535,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonneg_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value <= sys.float_info.max:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bssched",
@@ -551,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--seeds", type=_parse_seed_list, default=None, help="comma-separated seeds"
     )
-    p_run.add_argument("--horizon", type=int, default=None, help="override slots")
+    p_run.add_argument("--horizon", type=_positive_int, help="override slots")
     p_run.add_argument(
         "--jobs", type=_positive_int, default=1, help="parallel worker processes"
     )
@@ -559,9 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lp = sub.add_parser("lp", help="solve the planning LP and print the report")
     p_lp.add_argument("--config", required=True, help="scenario JSON file")
-    p_lp.add_argument("--eps-g", type=float, default=None, help="coverage slack")
+    p_lp.add_argument("--eps-g", type=_nonneg_float, help="coverage slack")
     p_lp.add_argument(
-        "--perturb", type=float, default=0.0, help="cost perturbation radius"
+        "--perturb", type=_nonneg_float, default=0.0, help="cost perturbation radius"
     )
     p_lp.add_argument("--seed", type=int, default=0, help="perturbation seed")
     p_lp.add_argument("--out", default=None, help="write report JSON here")

@@ -1,16 +1,18 @@
 """Scheduling policies: activation control plus Max-Weight rate allocation.
 
-Every policy implements ``reset(j0)`` and ``step(t, q, h_index, arrivals,
-rng)`` and returns the activation vector together with the chosen rate
-matrix for the slot. Queue weights are the pre-arrival queue lengths; the
-simulation engine applies departures before the slot's arrivals.
+An activation is an integer id, its row in ``enumerate_activations`` (all
+ON is 2**M - 1). ``reset(j0)`` takes the id before the first slot, and the
+one ``step(t, q, h_index, arrivals, rng)`` returns the slot's id, rate
+matrix and explore flag: each policy picks the activation in
+``_activation``, and ``_serve`` runs Max-Weight on R(j, h) over the
+pre-arrival queues (the engine applies departures before arrivals).
 
 Randomness is consumed from the generator passed into ``step`` in a fixed
 documented order (resample coin, then the optional activation draw, then
-the explore coin for the learning policies), so runs are reproducible for
-a given seed. The optional ``min_switch_gap`` hysteresis suppresses the
-resample coin entirely (no uniform is consumed) for the L - 1 slots after
-a resample event.
+the explore coin for the learning policies, then ``static_split_static``'s
+rate draw), so runs are reproducible for a given seed. The optional
+``min_switch_gap`` hysteresis suppresses the resample coin entirely (no
+uniform is consumed) for the L - 1 slots after a resample event.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from .lp import LpSolution, beta_to_alpha, build_lp, perturb_cost, solve_lp
-from .model import NetworkConfig, activation_id, all_on
+from .model import NetworkConfig
 from .rateregion import ChannelModel, RateRegion, full_region
 from .sim import draw_channel_index
 
@@ -83,10 +85,10 @@ def _clean_pmf(v: np.ndarray) -> np.ndarray:
 class Policy:
     """Common state: the previous activation, the resample coin, estimates.
 
-    ``solution`` is the planning LP solved under the true parameters, for
-    the policies that plan with it. ``lp_solves``, ``lp_warm_solves`` and
-    ``lp_pivots`` count the policy's own LP solves, those answered from a
-    warm start, and their simplex pivots.
+    ``regions[j][h]`` is R(j, h). ``solution`` is the planning LP solved
+    under the true parameters, for the policies that plan with it.
+    ``lp_solves``, ``lp_warm_solves`` and ``lp_pivots`` count the policy's
+    own LP solves, those answered from a warm start, and their pivots.
     """
 
     name = "policy"
@@ -111,13 +113,13 @@ class Policy:
         self.cm = cm
         self.eps_s = float(eps_s)
         self.min_switch_gap = int(min_switch_gap)
-        self._j = all_on(cfg.n_stations)
-        self._last_switch: int | None = None
-        self.resample_count = 0
+        self._all_on = 2**cfg.n_stations - 1
+        self.reset(self._all_on)
 
-    def reset(self, j0: np.ndarray) -> None:
-        self._j = np.asarray(j0, dtype=np.int64).copy()
-        self._last_switch = None
+    def reset(self, j0: int) -> None:
+        """Start a run from activation id ``j0``; also run at construction."""
+        self._j = j0
+        self._last_switch = -math.inf
         self.resample_count = 0
 
     def _solve(self, problem, **kwargs) -> LpSolution:
@@ -134,11 +136,7 @@ class Policy:
         Within min_switch_gap slots of the last event the coin is not
         tossed at all: it returns False without consuming a uniform.
         """
-        if (
-            self.min_switch_gap > 0
-            and self._last_switch is not None
-            and t - self._last_switch < self.min_switch_gap
-        ):
+        if t - self._last_switch < self.min_switch_gap:
             return False
         if rng.random() >= self.eps_s:
             return False
@@ -153,8 +151,20 @@ class Policy:
         h_index: int,
         arrivals: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
+    ) -> tuple[int, np.ndarray, bool]:
+        """(activation id, rate matrix, explore flag) for slot t."""
+        j, explore = self._activation(t, h_index, arrivals, rng)
+        self._j = j
+        return j, self._serve(q, j, h_index, rng), explore
+
+    def _activation(self, t, h_index, arrivals, rng) -> tuple[int, bool]:
+        """(activation id, explore flag) for slot t."""
         raise NotImplementedError
+
+    def _serve(self, q, j, h_index, rng) -> np.ndarray:
+        """Max-Weight over R(j, h_index)."""
+        region = self.regions[j][h_index]
+        return region.members[max_weight(q, region)]
 
 
 class AlwaysOnMaxWeight(Policy):
@@ -164,27 +174,27 @@ class AlwaysOnMaxWeight(Policy):
 
     def __init__(self, cfg, cm):
         super().__init__(cfg, cm)
-        self._full = [full_region(cm, cfg, h) for h in range(cm.n_states)]
+        full = [full_region(cm, cfg, h) for h in range(cm.n_states)]
+        self.regions = {self._all_on: full}
 
-    def step(self, t, q, h_index, arrivals, rng):
-        j = all_on(self.cfg.n_stations)
-        region = self._full[h_index]
-        s = region.members[max_weight(q, region)]
-        self._j = j
-        return j, s, False
+    def _activation(self, t, h_index, arrivals, rng):
+        return self._all_on, False
 
 
-class _ResamplingActivation(Policy):
-    """Shared machinery: hold the activation, resample from sigma w.p. eps_s.
+class StaticSplitMaxWeight(Policy):
+    """Resample the activation from the planned sigma, serve by Max-Weight.
 
     The induced activation chain is exactly the resample-or-hold kernel
-    eps_s * 1 sigma^T + (1 - eps_s) * I over the activation vectors.
+    eps_s * 1 sigma^T + (1 - eps_s) * I over the activations.
     """
+
+    name = "static_split_mw"
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, min_switch_gap)
         self.eps_g = float(eps_g)
         self.problem = build_lp(cfg, cm, eps_g=eps_g)
+        self.regions = self.problem.regions
         solution = self._solve(self.problem)
         if solution.status != "optimal":
             raise PolicyError(
@@ -196,26 +206,13 @@ class _ResamplingActivation(Policy):
         self._sigma_cdf = np.cumsum(self.sigma_star)
         self.planned_cost = float(solution.objective)
 
-    def _activation(self, t: int, rng: np.random.Generator) -> np.ndarray:
+    def _activation(self, t, h_index, arrivals, rng):
         if self._resample_coin(t, rng):
-            j_idx = draw_channel_index(self._sigma_cdf, rng)
-            self._j = self.problem.activations[j_idx].copy()
-        return self._j
+            return draw_channel_index(self._sigma_cdf, rng), False
+        return self._j, False
 
 
-class StaticSplitMaxWeight(_ResamplingActivation):
-    """Resample the activation from the planned sigma, serve by Max-Weight."""
-
-    name = "static_split_mw"
-
-    def step(self, t, q, h_index, arrivals, rng):
-        j = self._activation(t, rng)
-        region = self.problem.regions[activation_id(j)][h_index]
-        s = region.members[max_weight(q, region)]
-        return j, s, False
-
-
-class StaticSplitStatic(_ResamplingActivation):
+class StaticSplitStatic(StaticSplitMaxWeight):
     """Resample the activation and also draw rates from the planned alpha.
 
     Ignores the queues entirely; only useful to validate that the planning
@@ -229,12 +226,9 @@ class StaticSplitStatic(_ResamplingActivation):
         alpha = beta_to_alpha(self.problem, self.solution)
         self._alpha_cdf = {key: np.cumsum(pmf) for key, pmf in alpha.items()}
 
-    def step(self, t, q, h_index, arrivals, rng):
-        j = self._activation(t, rng)
-        j_idx = activation_id(j)
-        region = self.problem.regions[j_idx][h_index]
-        s = region.members[draw_channel_index(self._alpha_cdf[(j_idx, h_index)], rng)]
-        return j, s, False
+    def _serve(self, q, j, h_index, rng):
+        region = self.regions[j][h_index]
+        return region.members[draw_channel_index(self._alpha_cdf[(j, h_index)], rng)]
 
 
 class LearningMaxWeight(Policy):
@@ -289,29 +283,20 @@ class LearningMaxWeight(Policy):
             self.name = "algorithm1_tracking"
 
         self.problem = build_lp(cfg, cm, eps_g=eps_g)
+        self.regions = self.problem.regions
         self.cost = perturb_cost(self.problem, eps_p, rng)
-        shape = (cfg.n_stations, cfg.n_users)
-        self.mu_hat = np.zeros(cm.n_states)
-        self.lambda_hat = np.zeros(shape)
-        self.explore_count = 0
-        self._lambda_count = 0
-        self._estimate_version = 0
-        self._solved_version = -1
-        self._sigma_hat: np.ndarray | None = None
-        self._basis: np.ndarray | None = None
-        self._j_tilde = all_on(cfg.n_stations)
 
-    def reset(self, j0: np.ndarray) -> None:
+    def reset(self, j0: int) -> None:
         super().reset(j0)
-        self._j_tilde = np.asarray(j0, dtype=np.int64).copy()
+        self._j_tilde = j0
         self.mu_hat = np.zeros(self.cm.n_states)
         self.lambda_hat = np.zeros((self.cfg.n_stations, self.cfg.n_users))
         self.explore_count = 0
         self._lambda_count = 0
         self._estimate_version = 0
         self._solved_version = -1
-        self._sigma_hat = None
-        self._basis = None
+        self._sigma_hat: np.ndarray | None = None
+        self._basis: np.ndarray | None = None
         self.lp_solves = self.lp_warm_solves = self.lp_pivots = 0
 
     def explore_probability(self, t: int) -> float:
@@ -355,8 +340,7 @@ class LearningMaxWeight(Policy):
                 self._basis = solution.basis
             self._solved_version = self._estimate_version
         if self._sigma_hat is not None:
-            j_idx = draw_channel_index(np.cumsum(self._sigma_hat), rng)
-            self._j_tilde = self.problem.activations[j_idx].copy()
+            self._j_tilde = draw_channel_index(np.cumsum(self._sigma_hat), rng)
 
     def _update_estimates(self, h_index: int, arrivals: np.ndarray) -> None:
         self.explore_count += 1
@@ -368,27 +352,22 @@ class LearningMaxWeight(Policy):
             self.lambda_hat += rate * (arrivals - self.lambda_hat)
         self._estimate_version += 1
 
-    def step(self, t, q, h_index, arrivals, rng):
+    def _activation(self, t, h_index, arrivals, rng):
         if self._resample_coin(t, rng):
             self._resample_j_tilde(rng)
         explore = rng.random() < self.explore_probability(t)
         if explore:
-            j = all_on(self.cfg.n_stations)
             self._update_estimates(h_index, arrivals)
-        else:
-            j = self._j_tilde.copy()
         if self.update_arrivals_every_slot:
             self._lambda_count += 1
             rate = self._learning_rate(self._lambda_count)
             self.lambda_hat += rate * (arrivals - self.lambda_hat)
             self._estimate_version += 1
-        region = self.problem.regions[activation_id(j)][h_index]
-        s = region.members[max_weight(q, region)]
-        self._j = j
-        return j, s, explore
+        return (self._all_on if explore else self._j_tilde), explore
 
     @property
-    def j_tilde(self) -> np.ndarray:
+    def j_tilde(self) -> int:
+        """The baseline activation id."""
         return self._j_tilde
 
 

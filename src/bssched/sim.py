@@ -1,10 +1,12 @@
 """Slot-by-slot simulation engine.
 
 Event order inside slot t: arrivals are drawn, the policy picks the
-activation and a rate matrix from the restricted region for the observed
-channel state, transmissions depart (capped by queue content), and the
-slot's arrivals join the queues. The queue recorded for slot t is the
-pre-arrival queue the policy weighted, so Q(t+1) = Q(t) - departures + A(t).
+activation id and a rate matrix from the restricted region for the
+observed channel state, transmissions depart (capped by queue content),
+and the slot's arrivals join the queues. The queue recorded for slot t is
+the pre-arrival queue the policy weighted, so
+Q(t+1) = Q(t) - departures + A(t). The cost of every (previous, current)
+pair of activation ids is tabulated once per run.
 
 All randomness comes from a single generator with a fixed draw order per
 slot: the arrival matrix first, then one uniform for the channel state,
@@ -19,7 +21,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import NetworkConfig, activation_id, all_on, network_cost, step_queues
+from .model import (
+    NetworkConfig,
+    activation_id,
+    all_on,
+    enumerate_activations,
+    network_cost,
+    step_queues,
+)
 from .rateregion import ChannelModel
 
 if TYPE_CHECKING:  # policies imports draw_channel_index from this module
@@ -67,7 +76,7 @@ class SimTrace:
 
     ``total_queue`` and ``v_quad`` describe the pre-arrival queue of each
     slot (sum and sum of squares); ``cost`` is the activation cost paid in
-    the slot; ``j_bits`` encodes the activation vector as an integer;
+    the slot; ``j_bits`` is the slot's activation id;
     ``mu_err`` / ``lambda_err`` are L1 estimate errors against the true
     channel pmf and the currently effective arrival rates (NaN for
     policies without estimates).
@@ -75,8 +84,6 @@ class SimTrace:
 
     policy_name: str
     horizon: int
-    seed: int | None
-    n_stations: int
     total_queue: np.ndarray
     v_quad: np.ndarray
     cost: np.ndarray
@@ -107,7 +114,7 @@ class SimTrace:
         return (csum[t] - csum[lo]) / (t - lo)
 
     def occupancy(self) -> dict[int, float]:
-        """Fraction of slots spent in each activation vector (by bit id)."""
+        """Fraction of slots spent in each activation (by id)."""
         ids, counts = np.unique(self.j_bits, return_counts=True)
         return {int(i): float(c) / self.horizon for i, c in zip(ids, counts)}
 
@@ -169,8 +176,13 @@ def run(
     q = np.zeros(shape, dtype=np.int64) if q0 is None else np.array(q0, dtype=np.int64)
     if q.shape != shape or np.any(q < 0):
         raise ValueError("q0 must be a nonnegative matrix of shape (M, n)")
-    j_prev = all_on(cfg.n_stations) if j0 is None else np.asarray(j0, dtype=np.int64)
+    j0 = all_on(cfg.n_stations) if j0 is None else np.asarray(j0)
+    if j0.shape != (cfg.n_stations,) or not np.isin(j0, (0, 1)).all():
+        raise ValueError("j0 must be a 0/1 vector of length M")
+    j_prev = activation_id(j0)
     policy.reset(j_prev)
+    acts = enumerate_activations(cfg.n_stations)
+    cost = [[network_cost(a, b, cfg) for b in acts] for a in acts]
 
     base_rates = np.asarray(cfg.arrival_rates, dtype=float)
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float))
@@ -179,8 +191,6 @@ def run(
     trace = SimTrace(
         policy_name=policy.name,
         horizon=horizon,
-        seed=seed,
-        n_stations=cfg.n_stations,
         total_queue=np.zeros(horizon, dtype=np.int64),
         v_quad=np.zeros(horizon, dtype=np.int64),
         cost=np.zeros(horizon),
@@ -214,8 +224,8 @@ def run(
         i = t - 1
         trace.total_queue[i] = q.sum()
         trace.v_quad[i] = int((q * q).sum())
-        trace.cost[i] = network_cost(j_prev, j, cfg)
-        trace.j_bits[i] = activation_id(j)
+        trace.cost[i] = cost[j_prev][j]
+        trace.j_bits[i] = j
         trace.explore[i] = explore
         if policy.mu_hat is not None:
             trace.mu_err[i] = float(np.abs(policy.mu_hat - true_mu).sum())

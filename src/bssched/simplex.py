@@ -126,6 +126,8 @@ def solve_standard_form(
     m, n = a.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    if not all(np.isfinite(v).all() for v in (a, b, c)):
+        raise ValueError("LP data must be finite")
     if max_iter is None:
         max_iter = max(5000, 100 * (m + n))
     b_scale = abs(b).max(initial=0.0)
@@ -276,15 +278,16 @@ def _certified(
 
     The duals come from a fresh elimination of the result's basis columns
     of the original a (``_basis_inverse``), so the reduced costs c - a^T y
-    do not inherit the tableau's round-off.
+    do not inherit the tableau's round-off. Each test is written so that a
+    NaN fails it.
     """
     x = result.x
     slack = CERTIFICATE_SLACK * tol
     a_max = max(a.max(initial=0.0), -a.min(initial=0.0))
     residual = np.abs(a @ x - b).max(initial=0.0)
-    if residual > slack * (1.0 + abs(b).max(initial=0.0) + a_max * abs(x).sum()):
+    if not residual <= slack * (1.0 + abs(b).max(initial=0.0) + a_max * abs(x).sum()):
         return False
-    if x.min(initial=0.0) < -slack * (1.0 + abs(x).max(initial=0.0)):
+    if not x.min(initial=0.0) >= -slack * (1.0 + abs(x).max(initial=0.0)):
         return False
     inverse = _basis_inverse(c, a, result.basis, tol)
     if inverse is None:

@@ -17,8 +17,8 @@ from bssched.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID_CONFIG,
     EXIT_OK,
-    EXIT_RUNTIME,
     ScenarioError,
+    _nonneg_float,
     _parse_seed_list,
     _positive_int,
     bundled_scenario_path,
@@ -261,6 +261,18 @@ def test_positive_int_rejects_bad_input(text):
         _positive_int(text)
 
 
+def test_nonneg_float():
+    assert _nonneg_float("0") == 0.0
+    assert _nonneg_float("0.05") == 0.05
+    assert _nonneg_float("1e-3") == 0.001
+
+
+@pytest.mark.parametrize("text", ["-0.5", "nan", "inf", "a", ""])
+def test_nonneg_float_rejects_bad_input(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="finite number >= 0"):
+        _nonneg_float(text)
+
+
 def test_run_rejects_nonpositive_jobs(tmp_path, capsys):
     config = str(bundled_scenario_path("reference"))
     with pytest.raises(SystemExit) as exc:
@@ -373,6 +385,27 @@ def test_lp_report_written_to_file(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     assert report["objective"] == pytest.approx(1.2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eps-g", "nan"),  # would put NaN in the report: invalid JSON
+        ("--eps-g", "inf"),  # likewise Infinity
+        ("--eps-g", "-0.5"),  # a negative slack
+        ("--perturb", "inf"),  # fails the LP certificate
+        ("--perturb", "nan"),
+        ("--perturb", "-0.01"),
+    ],
+)
+def test_lp_rejects_bad_slack_and_perturbation(flag, value, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    config = str(bundled_scenario_path("reference"))
+    with pytest.raises(SystemExit) as exc:
+        main(["lp", "--config", config, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lp_perturbed_objective_close_to_base(capsys):
@@ -509,14 +542,18 @@ def test_run_overloaded_scenario_exits_3(tmp_path, capsys, reference_config):
 
 
 def test_run_bad_horizon_override_exits_2(tmp_path, capsys, reference_config):
+    """Rejected while parsing the arguments, before anything is solved or written."""
     path = write_config(tmp_path, reference_config)
     out = tmp_path / "out"
-    code = main(
-        ["run", "--config", str(path), "--out", str(out), "--horizon", "-5",
-         "--seeds", "1"]
-    )
-    assert code == EXIT_RUNTIME
-    assert "error" in capsys.readouterr().err
+    for horizon in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["run", "--config", str(path), "--out", str(out),
+                 "--horizon", horizon, "--seeds", "1"]
+            )
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_run_regime_scenario(tmp_path):

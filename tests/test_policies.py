@@ -229,7 +229,7 @@ def test_eps_s_out_of_range_rejected(reference):
 def test_min_switch_gap_enforces_exact_spacing(reference):
     cfg, cm = reference
     policy = StaticSplitMaxWeight(cfg, cm, eps_s=1.0, eps_g=0.05, min_switch_gap=10)
-    policy.reset(np.ones(3, dtype=np.int64))
+    policy.reset(0b111)
     rng = np.random.default_rng(0)
     q = np.zeros((3, 5), dtype=np.int64)
     a = np.zeros((3, 5), dtype=np.int64)
@@ -264,7 +264,7 @@ def test_min_switch_gap_consumes_no_uniform_while_gated(reference):
     a = np.zeros((3, 5), dtype=np.int64)
 
     gated = StaticSplitMaxWeight(cfg, cm, eps_s=1.0, eps_g=0.05, min_switch_gap=10)
-    gated.reset(np.ones(3, dtype=np.int64))
+    gated.reset(0b111)
     stub = _CountingUniform()
     for t in range(1, 21):
         gated.step(t, q, 0, a, stub)
@@ -272,7 +272,7 @@ def test_min_switch_gap_consumes_no_uniform_while_gated(reference):
     assert stub.calls == 4
 
     free = StaticSplitMaxWeight(cfg, cm, eps_s=1.0, eps_g=0.05)
-    free.reset(np.ones(3, dtype=np.int64))
+    free.reset(0b111)
     stub = _CountingUniform()
     for t in range(1, 21):
         free.step(t, q, 0, a, stub)
@@ -351,7 +351,7 @@ def test_activation_dominates_baseline(reference):
     cfg, cm = reference
     rng = np.random.default_rng(21)
     policy = LearningMaxWeight(cfg, cm, eps_s=0.1, eps_p=0.01, eps_g=0.05, rng=rng)
-    policy.reset(np.ones(3, dtype=np.int64))
+    policy.reset(0b111)
     q = np.zeros((3, 5), dtype=np.int64)
     rates = np.asarray(cfg.arrival_rates)
     cum = np.cumsum(np.asarray(cm.pmf))
@@ -359,7 +359,7 @@ def test_activation_dominates_baseline(reference):
         a = (rng.random((3, 5)) < rates).astype(np.int64)
         h = min(int(np.searchsorted(cum, rng.random(), side="right")), cm.n_states - 1)
         j, s, _ = policy.step(t, q, h, a, rng)
-        assert np.all(j >= policy.j_tilde)
+        assert j & policy.j_tilde == policy.j_tilde  # every baseline station is on
         q, _ = step_queues(q, s, a)
 
 
@@ -385,9 +385,9 @@ def test_cold_start_keeps_baseline(reference):
     cfg, cm = reference
     rng = np.random.default_rng(0)
     policy = LearningMaxWeight(cfg, cm, eps_s=1.0, eps_p=0.01, eps_g=0.05, rng=rng)
-    policy.reset(np.zeros(3, dtype=np.int64))
+    policy.reset(0)
     policy._resample_j_tilde(rng)
-    assert np.all(policy.j_tilde == 0)
+    assert policy.j_tilde == 0
     assert policy._sigma_hat is None
 
 
@@ -399,9 +399,9 @@ def test_infeasible_estimates_keep_baseline(reference):
     policy.lambda_hat = adjacency_matrix(cfg, 0.5)
     policy.explore_count = 1
     policy._estimate_version += 1
-    before = policy.j_tilde.copy()
+    before = policy.j_tilde
     policy._resample_j_tilde(rng)
-    assert np.array_equal(policy.j_tilde, before)
+    assert policy.j_tilde == before
     assert policy._sigma_hat is None
 
 
@@ -552,7 +552,7 @@ def test_reset_clears_learning_state(reference):
     run(cfg, cm, policy, horizon=2000, rng=rng)
     assert policy.explore_count > 0
     assert policy._basis is not None and policy.lp_warm_solves > 0
-    policy.reset(np.zeros(3, dtype=np.int64))
+    policy.reset(0)
     assert policy._basis is None
     assert policy.lp_solves == policy.lp_warm_solves == policy.lp_pivots == 0
     assert policy.explore_count == 0
@@ -560,7 +560,7 @@ def test_reset_clears_learning_state(reference):
     assert not policy.mu_hat.any()
     assert not policy.lambda_hat.any()
     assert policy._sigma_hat is None
-    assert np.all(policy.j_tilde == 0)
+    assert policy.j_tilde == 0
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +574,26 @@ def test_make_policy_builds_every_name(reference):
     for name in POLICY_NAMES:
         policy = make_policy(name, cfg, cm, rng)
         assert policy.name == name
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_step_returns_the_traced_activation_id(reference, name):
+    cfg, cm = reference
+    rng = np.random.default_rng(4)
+    policy = make_policy(name, cfg, cm, rng, params={"eps_s": 0.2})
+    step = policy.step
+    ids = []
+
+    def recording_step(*args):
+        j, s, explore = step(*args)
+        ids.append(j)
+        return j, s, explore
+
+    policy.step = recording_step
+    trace = run(cfg, cm, policy, horizon=400, rng=rng)
+    assert all(type(j) is int and 0 <= j < 2**cfg.n_stations for j in ids)
+    assert ids == trace.j_bits.tolist()
+    assert name == "always_on" or len(set(ids)) > 1
 
 
 def test_make_policy_rejects_unknown_name(reference):

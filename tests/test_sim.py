@@ -96,6 +96,19 @@ def test_q0_validation(reference):
         run(cfg, cm, policy, horizon=5, seed=0, q0=np.zeros((2, 5), dtype=np.int64))
 
 
+@pytest.mark.parametrize("name", ["always_on", "static_split_mw"])
+@pytest.mark.parametrize(
+    "j0",
+    [[1, 1], [2, 0, 0], [1, 1, 1, 1], [[1, 1, 1]], [0.5, 1, 1], [-1, 1, 1]],
+    ids=["short", "two", "long", "matrix", "half", "negative"],
+)
+def test_j0_validation(reference, name, j0):
+    cfg, cm = reference
+    policy = make_policy(name, cfg, cm, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="j0"):
+        run(cfg, cm, policy, horizon=5, seed=0, j0=np.array(j0))
+
+
 def test_cost_accounting_matches_activation_path(reference):
     """Per-slot cost re-derivable from the activation bit path and j0."""
     cfg, cm = reference

@@ -278,3 +278,31 @@ def test_certificate_rejects_a_wrong_vertex():
     assert not simplex_module._certified(c, a, b, res, 1e-9)  # a @ x != b
     res.x = np.array([-0.5, 1.5, 0.0])
     assert not simplex_module._certified(c, a, b, res, 1e-9)  # x < 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["c", "a", "b"])
+def test_non_finite_data_is_rejected(where, bad):
+    # NaN compares false, so b = [1, nan] would pass as "optimal" with a NaN x
+    data = {
+        "c": np.array([1.0, 1.0, 1.0]),
+        "a": np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+        "b": np.array([1.0, 1.0]),
+    }
+    data[where].flat[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_standard_form(data["c"], data["a"], data["b"])
+
+
+def test_certificate_fails_on_nan():
+    c, a, b = to_standard_with_slack(
+        np.array([-1.0, -2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    )
+    res = solve_standard_form(c, a, b)
+    assert simplex_module._certified(c, a, b, res, 1e-9)
+    nan_b = np.array([np.nan])
+    assert not simplex_module._certified(c, a, nan_b, res, 1e-9)  # residual
+    nan_c = np.array([np.nan, -2.0, 0.0])
+    assert not simplex_module._certified(nan_c, a, b, res, 1e-9)  # reduced costs
+    res.x = np.array([np.nan, 1.0, 0.0])
+    assert not simplex_module._certified(c, a, b, res, 1e-9)  # a @ x is NaN
