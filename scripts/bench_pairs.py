@@ -1,0 +1,112 @@
+"""Alternating before/after runs of ``perfbench/run.py``, written as a BENCH file.
+
+Run from the repository root, for example:
+
+    python3 scripts/bench_pairs.py --before 606b2c3 --after HEAD \\
+        --pairs plan_m5=10 slots_static=3 replan_tracking=3 slots_binomial=3 \\
+        --seconds 20 --out BENCH_7.json
+
+``--before`` and ``--after`` are git revisions, exported with ``git archive``
+into temporary directories so that only committed files are measured, or
+existing directories. For each workload the two sides run one after the
+other for the given number of pairs, ``before`` first in even pairs and
+``after`` first in odd ones; every run's final JSON line is kept as
+printed. The summary gives, per end-to-end metric, the
+median and quartile spread of each side and the number of pairs the
+``after`` side won (lower is better for every metric).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+METRICS = ("command_s", "setup_s", "work_s", "peak_rss_mb")
+
+
+def checkout(spec: str, scratch: Path) -> Path:
+    if Path(spec).is_dir():
+        return Path(spec).resolve()
+    target = scratch / spec.replace("/", "_")
+    target.mkdir()
+    archive = subprocess.run(["git", "archive", spec], check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive.stdout, check=True)
+    return target
+
+
+def run_once(root: Path, workload: str, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", str(seconds)],
+        cwd=root, check=True, capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        values = values * 2
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    out = {}
+    for name in METRICS:
+        before = [p["before"]["metrics"][name]["value"] for p in pairs]
+        after = [p["after"]["metrics"][name]["value"] for p in pairs]
+        out[name] = {
+            "before": spread(before),
+            "after": spread(after),
+            "after_wins": sum(a < b for a, b in zip(after, before)),
+        }
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", required=True, help="git revision or directory")
+    parser.add_argument("--after", required=True, help="git revision or directory")
+    parser.add_argument("--pairs", nargs="+", required=True, help="workload=count")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+
+    record = {
+        "command": shlex.join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
+        "before": args.before,
+        "after": args.after,
+        "seconds": args.seconds,
+        "machine": f"{platform.machine()}, {platform.python_implementation()} "
+                   f"{platform.python_version()}",
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        roots = {side: checkout(getattr(args, side), Path(scratch))
+                 for side in ("before", "after")}
+        for item in args.pairs:
+            workload, count = item.split("=")
+            pairs = []
+            for i in range(int(count)):
+                order = ("before", "after") if i % 2 == 0 else ("after", "before")
+                pair = {side: run_once(roots[side], workload, args.seconds)
+                        for side in order}
+                pairs.append({"first": order[0], **pair})
+                print(f"{workload} pair {i + 1}/{count}: command_s "
+                      f"{pair['before']['metrics']['command_s']['value']:.3f} -> "
+                      f"{pair['after']['metrics']['command_s']['value']:.3f}",
+                      file=sys.stderr)
+            record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

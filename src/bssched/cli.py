@@ -113,7 +113,6 @@ SCHEMA = {
         "seeds": Default([int], (0,)),
         "window": 200,
         "q_bar": 200.0,
-        "drift_window": 100,
     },
 }
 
@@ -247,7 +246,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         errors.extend(f"policy: {err}" for err in policy_errors(policy))
 
     if run_blk is not None:
-        for key in ("horizon", "window", "drift_window"):
+        for key in ("horizon", "window"):
             if run_blk[key] < 1:
                 errors.append(f"run.{key}: must be a positive integer")
         if not run_blk["seeds"] or min(run_blk["seeds"]) < 0:
@@ -529,6 +528,14 @@ def _parse_seed_list(text: str) -> list[int]:
     return [int(part) for part in parts]
 
 
+def _nonneg_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -570,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lp.add_argument(
         "--perturb", type=_nonneg_float, default=0.0, help="cost perturbation radius"
     )
-    p_lp.add_argument("--seed", type=int, default=0, help="perturbation seed")
+    p_lp.add_argument("--seed", type=_nonneg_int, default=0, help="perturbation seed")
     p_lp.add_argument("--out", default=None, help="write report JSON here")
     p_lp.set_defaults(func=cmd_lp)
 

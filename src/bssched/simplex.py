@@ -7,6 +7,19 @@ cap only trips on genuinely pathological input and raises instead of
 returning a wrong answer. The solver is deterministic: the same problem
 always produces the same basis and the same optimal vertex.
 
+A pivot costs what it changes. On a wide tableau it updates only the rows
+whose pivot-column entry is nonzero, one at a time in a reused buffer, as
+``row -= factor * pivot_row``; on a narrow one a single outer-product
+update of every row is cheaper (``ROW_COST`` below; at 44 rows the
+crossover is about 1,500 columns). Both compute each entry by the same
+product and difference, and a skipped row would only have had a zero
+subtracted, so the tableau holds the same values either way. At most the
+sign of a zero entry differs (x - (-0.0) turns -0.0 into +0.0), which no
+comparison sees and which cannot reach x: phase 2 starts from a
+right-hand side clipped to +0.0, and no update then makes a -0.0 there.
+So the pivot sequence, x, basis and pivot count are identical bit for bit
+on both paths.
+
 A solve may start warm from a basis, typically the optimal basis of a
 nearby problem. When that basis is full-size and nonsingular, [A | b] is
 first made canonical in it (B^-1 A, B^-1 b); rows whose right-hand side
@@ -43,11 +56,26 @@ class SimplexResult:
     warm: bool = False  # the answer came from a warm start
 
 
+# The Python overhead of one row update, counted in tableau entries: a pivot
+# takes the row loop when touched_rows * ROW_COST < tableau.size.
+ROW_COST = 2048
+
+
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    column = tableau[:, col]
+    if np.count_nonzero(column) * ROW_COST < tableau.size:
+        touched = np.flatnonzero(column)
+        scaled = np.empty_like(pivot_row)
+        for i, factor in zip(touched.tolist(), column[touched].tolist()):
+            if i != row:
+                np.multiply(pivot_row, factor, out=scaled)
+                tableau[i] -= scaled
+    else:
+        factors = column.copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, pivot_row)
     # keep the pivot column exactly canonical
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
@@ -64,16 +92,12 @@ def _leaving(
     tableau: np.ndarray, col: int, basis: np.ndarray, tol: float
 ) -> int | None:
     """Minimum-ratio row; ties go to the smallest basic variable index."""
-    column = tableau[:-1, col]
-    rhs = tableau[:-1, -1]
-    best: tuple[float, int, int] | None = None
-    for i in range(column.shape[0]):
-        if column[i] > tol:
-            ratio = rhs[i] / column[i]
-            key = (ratio, int(basis[i]), i)
-            if best is None or key < best:
-                best = key
-    return best[2] if best is not None else None
+    rows = np.flatnonzero(tableau[:-1, col] > tol)
+    if not rows.size:
+        return None
+    ratios = tableau[rows, -1] / tableau[rows, col]
+    ties = rows[ratios == ratios.min()]
+    return int(ties[np.argmin(basis[ties])])
 
 
 def _run_phase(

@@ -39,6 +39,30 @@ def standard_form(problem, cost=None, mu=None, lam=None, eps_g=None):
     return c, a, b
 
 
+def dense_pivot(tableau, row, col):
+    """Pivot on (row, col) with one outer-product update of every row."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+
+
+def loop_leaving(tableau, col, basis, tol):
+    """Ratio test by a loop over the rows: least rhs / column among
+    column > tol, ties to the smallest basic index."""
+    column = tableau[:-1, col]
+    rhs = tableau[:-1, -1]
+    best = None
+    for i in range(column.shape[0]):
+        if column[i] > tol:
+            key = (rhs[i] / column[i], int(basis[i]), i)
+            if best is None or key < best:
+                best = key
+    return best[2] if best is not None else None
+
+
 def bfs_minimum(c, a, b, feas_tol=1e-7, obj_tol=1e-9, max_bases=400_000):
     """Exhaustive basic-feasible-solution minimum of min c@x, a@x=b, x>=0.
 

@@ -149,6 +149,7 @@ MALFORMED = {
     "numeric_name": (_set("name", 7), "name"),
     "numeric_state_name": (_set("channel", "states", 0, "name", 3), "states[0].name"),
     "misspelt_network_key": (_set("network", "max_arivals", 1), "max_arivals"),
+    "dropped_drift_window": (_set("run", "drift_window", 100), "drift_window"),
 }
 
 
@@ -406,6 +407,20 @@ def test_lp_rejects_bad_slack_and_perturbation(flag, value, tmp_path, capsys):
     assert exc.value.code == 2
     assert "finite number >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_lp_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    config = str(bundled_scenario_path("reference"))
+    with pytest.raises(SystemExit) as exc:
+        main(["lp", "--config", config, "--seed", "-1", "--perturb", "0.01",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["lp", "--config", config, "--seed", "0", "--perturb", "0.01",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["status"] == "optimal"
 
 
 def test_lp_perturbed_objective_close_to_base(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import bssched.simplex as simplex_module
 from bssched import SimplexError, solve_standard_form
 
-from oracles import bfs_minimum
+from oracles import bfs_minimum, dense_pivot, loop_leaving
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -306,3 +306,87 @@ def test_certificate_fails_on_nan():
     assert not simplex_module._certified(nan_c, a, b, res, 1e-9)  # reduced costs
     res.x = np.array([np.nan, 1.0, 0.0])
     assert not simplex_module._certified(c, a, b, res, 1e-9)  # a @ x is NaN
+
+
+# ---------------------------------------------------------------------------
+# Row-restricted pivots and the vectorized ratio test
+# ---------------------------------------------------------------------------
+
+
+def _sparse(rng, shape, density):
+    """Small integers and halves (so exact cancellations happen), mostly zero,
+    with some zeros negative."""
+    values = rng.integers(-4, 5, size=shape) / rng.choice([1.0, 2.0], size=shape)
+    values[rng.random(shape) >= density] = 0.0
+    values[rng.random(shape) < 0.1] *= -1.0  # turns some zeros into -0.0
+    return values
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wide=st.booleans(),
+    density=st.sampled_from([0.02, 0.1, 0.3, 1.0]),
+)
+def test_pivot_equals_the_dense_update(seed, wide, density):
+    """Both sides of the ROW_COST rule give the outer-product update's values.
+
+    A wide tableau (more than ROW_COST columns) takes the row loop however
+    many rows the pivot touches; one with at most ROW_COST entries takes
+    the dense update however few it touches.
+    """
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(2, 13 if wide else 40))
+    if wide:
+        n_cols = int(rng.integers(simplex_module.ROW_COST + 1, 2600))
+    else:
+        n_cols = int(rng.integers(2, simplex_module.ROW_COST // n_rows + 1))
+    tableau = _sparse(rng, (n_rows, n_cols), density)
+    row, col = int(rng.integers(n_rows)), int(rng.integers(n_cols))
+    tableau[row, col] = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0])
+    touched = np.count_nonzero(tableau[:, col])
+    assert (touched * simplex_module.ROW_COST < tableau.size) == wide
+
+    expected = tableau.copy()
+    dense_pivot(expected, row, col)
+    simplex_module._pivot(tableau, row, col)
+    assert np.array_equal(tableau, expected)
+
+
+def test_wide_sparse_lp_solves_as_with_the_dense_pivot(monkeypatch):
+    """30 rows and 3,000 columns: every phase tableau takes the row loop,
+    since even 31 touched rows cost less than its 31 x 3,001 entries."""
+    rng = np.random.default_rng(2)
+    m, n = 30, 3000
+    a = _sparse(rng, (m, n), 0.05)
+    a[rng.integers(m, size=n), np.arange(n)] = rng.uniform(0.5, 2.0, size=n)
+    x_feasible = np.where(rng.random(n) < 0.02, rng.uniform(0.0, 2.0, size=n), 0.0)
+    b = a @ x_feasible
+    c = rng.uniform(0.1, 2.0, size=n)
+    assert simplex_module.ROW_COST < n
+
+    row_path = solve_standard_form(c, a, b)
+    monkeypatch.setattr(simplex_module, "_pivot", dense_pivot)
+    dense = solve_standard_form(c, a, b)
+    assert row_path.status == dense.status == "optimal"
+    assert row_path.iterations == dense.iterations > 100
+    assert row_path.x.tobytes() == dense.x.tobytes()
+    assert np.array_equal(row_path.basis, dense.basis)
+    assert row_path.objective == dense.objective
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 12),
+)
+def test_leaving_matches_the_row_loop(seed, n_rows):
+    """Columns and right-hand sides from a few values, so ratios tie exactly."""
+    rng = np.random.default_rng(seed)
+    tableau = np.zeros((n_rows + 1, 3))
+    tableau[:-1, 0] = rng.choice([0.0, -1.0, 1e-12, 0.5, 1.0, 2.0, 4.0], size=n_rows)
+    tableau[:-1, -1] = rng.choice([0.0, 1.0, 2.0, 4.0], size=n_rows)
+    basis = rng.permutation(3 * n_rows)[:n_rows]
+    assert simplex_module._leaving(tableau, 0, basis, 1e-9) == loop_leaving(
+        tableau, 0, basis, 1e-9
+    )
