@@ -249,8 +249,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         for key in ("horizon", "window"):
             if run_blk[key] < 1:
                 errors.append(f"run.{key}: must be a positive integer")
-        if not run_blk["seeds"] or min(run_blk["seeds"]) < 0:
-            errors.append("run.seeds: must be a nonempty list of nonnegative integers")
+        seeds = run_blk["seeds"]
+        if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+            errors.append("run.seeds: must be a nonempty list of distinct seeds >= 0")
 
     if errors:
         raise ScenarioError(errors)
@@ -382,8 +383,8 @@ def _lp_report(scenario: Scenario, eps_g: float, eps_p: float, seed: int) -> dic
         "eps_p": eps_p,
         "status": solution.status,
         "dimension": problem.dim,
-        "n_equalities": problem.a_eq.shape[0],
-        "n_coverage_rows": len(problem.links),
+        "n_equalities": problem.a.shape[0] - problem.rates.shape[0],
+        "n_coverage_rows": problem.rates.shape[0],
     }
     if solution.status != "optimal":
         return report
@@ -521,11 +522,12 @@ def cmd_run(args) -> int:
 
 def _parse_seed_list(text: str) -> list[int]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
-    if not parts or not all(part.isdecimal() for part in parts):
+    seeds = [int(part) for part in parts if part.isdecimal()]
+    if not parts or len(seeds) < len(parts) or len(set(seeds)) < len(seeds):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated nonnegative integers, got {text!r}"
+            f"expected comma-separated distinct nonnegative integers, got {text!r}"
         )
-    return [int(part) for part in parts]
+    return seeds
 
 
 def _nonneg_int(text: str) -> int:

@@ -17,6 +17,10 @@ Constraints, with mu the channel pmf and lam the arrival-rate matrix:
                                                  for every link (m, u)
     sigma, beta >= 0
 
+``build_lp`` writes them once in the standard form the simplex solves
+(A x = b, x >= 0, the coverage rows closed by surplus columns). A re-solve
+under estimated (mu, lam) rewrites only the coverage rows of a copy.
+
 The base objective prices steady-state activity only (active_cost times the
 expected number of ON stations); switching costs vanish in steady state for
 a fixed activation distribution and are accounted for by the policies'
@@ -37,43 +41,27 @@ DEFAULT_TOL = 1e-9
 
 @dataclass
 class LpProblem:
-    """Indexed LP data for one (network, channel) pair.
+    """The planning LP of one (network, channel) pair, in standard form.
 
-    The equality block is fixed by the scenario structure. The coverage
-    inequalities depend on the channel pmf and the arrival target, so they
-    are kept factored: ineq matrix = sum_h mu[h] * coverage_blocks[h],
-    rhs = lam[link] + eps_g. ``solve_lp`` can therefore be re-run cheaply
-    under estimated (mu, lam) without rebuilding the problem.
+    ``a`` and ``b`` (read-only) hold the sigma-sum row, one sigma/beta row
+    per (j, h) and one coverage row per link at the true pmf and arrival
+    target; the columns past ``dim`` are the coverage surplus variables.
+    Under a pmf ``mu`` the coverage rows are ``rates * mu[col_state]``.
     """
 
     cfg: NetworkConfig
     cm: ChannelModel
-    lam: np.ndarray
     eps_g: float
     activations: np.ndarray  # (n_act, n_stations)
     regions: list[list[RateRegion]]  # [j_index][h_index]
     beta_offsets: dict[tuple[int, int], tuple[int, int]]  # (j,h) -> (start, size)
-    dim: int
+    dim: int  # sigma and beta columns, without the surplus columns
     n_act: int
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    coverage_blocks: np.ndarray  # (n_states, n_links, dim)
+    a: np.ndarray  # (1 + n_act * n_states + n_links, dim + n_links)
+    b: np.ndarray
+    rates: np.ndarray  # (n_links, dim)
+    col_state: np.ndarray  # (dim,)
     base_cost: np.ndarray
-
-    @property
-    def links(self) -> tuple[tuple[int, int], ...]:
-        return self.cfg.adjacency
-
-    def coverage_matrix(self, mu: np.ndarray | None = None) -> np.ndarray:
-        mu = self.cm.pmf if mu is None else np.asarray(mu, dtype=float)
-        return np.einsum("h,hld->ld", mu, self.coverage_blocks)
-
-    def coverage_rhs(
-        self, lam: np.ndarray | None = None, eps_g: float | None = None
-    ) -> np.ndarray:
-        lam = self.lam if lam is None else np.asarray(lam, dtype=float)
-        eps_g = self.eps_g if eps_g is None else float(eps_g)
-        return np.array([lam[m, u] + eps_g for m, u in self.links])
 
 
 @dataclass
@@ -99,12 +87,14 @@ def build_lp(
     ``lam`` defaults to the configured arrival rates. The variable order is
     the sigma block (activation enumeration order) followed by one beta
     block per (activation, channel state), region members in enumeration
-    order, so dim = 2**M + sum_{j,h} |R(j, h)|.
+    order, so dim = 2**M + sum_{j,h} |R(j, h)|; one surplus column per link
+    follows.
     """
-    lam = cfg.arrival_rates if lam is None else np.asarray(lam, dtype=float)
+    lam = cfg.arrival_rates if lam is None else lam
     activations = enumerate_activations(cfg.n_stations)
     n_act = activations.shape[0]
-    n_states = cm.n_states
+    stations, users = np.transpose(cfg.adjacency)
+    n_links = len(cfg.adjacency)
 
     regions = region_index(cfg, cm)
     beta_offsets: dict[tuple[int, int], tuple[int, int]] = {}
@@ -115,27 +105,23 @@ def build_lp(
             offset += len(reg)
     dim = offset
 
-    n_eq = 1 + n_act * n_states
-    a_eq = np.zeros((n_eq, dim))
-    b_eq = np.zeros(n_eq)
-    a_eq[0, :n_act] = 1.0
-    b_eq[0] = 1.0
-    row_idx = 1
-    for j_idx in range(n_act):
-        for h in range(n_states):
-            start, size = beta_offsets[(j_idx, h)]
-            a_eq[row_idx, j_idx] = 1.0
-            a_eq[row_idx, start : start + size] = -1.0
-            row_idx += 1
-
-    links = cfg.adjacency
-    coverage_blocks = np.zeros((n_states, len(links), dim))
-    for j_idx in range(n_act):
-        for h in range(n_states):
-            start, size = beta_offsets[(j_idx, h)]
-            members = regions[j_idx][h].members
-            for l_idx, (m, u) in enumerate(links):
-                coverage_blocks[h, l_idx, start : start + size] = members[:, m, u]
+    n_eq = 1 + n_act * cm.n_states
+    a = np.zeros((n_eq + n_links, dim + n_links))
+    b = np.zeros(n_eq + n_links)
+    rates = np.zeros((n_links, dim))
+    col_state = np.zeros(dim, dtype=np.intp)
+    a[0, :n_act] = 1.0
+    b[0] = 1.0
+    for row, ((j_idx, h), (start, size)) in enumerate(beta_offsets.items(), 1):
+        a[row, j_idx] = 1.0
+        a[row, start : start + size] = -1.0
+        members = regions[j_idx][h].members
+        rates[:, start : start + size] = members[:, stations, users].T
+        col_state[start : start + size] = h
+    a[n_eq:, :dim] = rates * np.asarray(cm.pmf, dtype=float)[col_state]
+    a[n_eq:, dim:] = -np.eye(n_links)
+    b[n_eq:] = _link_targets(cfg, lam, eps_g)
+    a.flags.writeable = b.flags.writeable = False
 
     base_cost = np.zeros(dim)
     base_cost[:n_act] = cfg.active_cost * activations.sum(axis=1)
@@ -143,18 +129,23 @@ def build_lp(
     return LpProblem(
         cfg=cfg,
         cm=cm,
-        lam=lam,
         eps_g=float(eps_g),
         activations=activations,
         regions=regions,
         beta_offsets=beta_offsets,
         dim=dim,
         n_act=n_act,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        coverage_blocks=coverage_blocks,
+        a=a,
+        b=b,
+        rates=rates,
+        col_state=col_state,
         base_cost=base_cost,
     )
+
+
+def _link_targets(cfg: NetworkConfig, lam: np.ndarray, eps_g: float) -> np.ndarray:
+    stations, users = np.transpose(cfg.adjacency)
+    return np.asarray(lam, dtype=float)[stations, users] + float(eps_g)
 
 
 def solve_lp(
@@ -162,34 +153,33 @@ def solve_lp(
     cost: np.ndarray | None = None,
     mu: np.ndarray | None = None,
     lam: np.ndarray | None = None,
-    eps_g: float | None = None,
-    tol: float = DEFAULT_TOL,
     basis: np.ndarray | None = None,
 ) -> LpSolution:
     """Solve the planning LP; optionally override cost, pmf or arrival target.
 
-    The coverage inequalities get surplus variables and everything is handed
-    to the deterministic two-phase simplex, so equal inputs always return
-    the identical basic optimal solution. ``basis``, the ``basis`` of an
-    earlier solution of the same problem, warm starts the simplex; a
-    re-solve under moved estimates then pivots only where they differ.
+    Without ``mu`` and ``lam`` the simplex gets ``problem.a`` and
+    ``problem.b`` themselves; with them, copies whose coverage rows (and
+    right-hand sides) are rewritten for the estimates. The simplex is
+    deterministic, so equal inputs always return the identical basic
+    optimal solution. ``basis``, the ``basis`` of an earlier solution of
+    the same problem, warm starts the simplex; a re-solve under moved
+    estimates then pivots only where they differ.
     """
     from .simplex import SimplexError, solve_standard_form
 
     cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
-    a_ub = problem.coverage_matrix(mu)
-    b_ub = problem.coverage_rhs(lam, eps_g)
-    n_ub = a_ub.shape[0]
+    a, b = problem.a, problem.b
+    n_links = problem.rates.shape[0]
+    if mu is not None:
+        a = a.copy()
+        mu = np.asarray(mu, dtype=float)
+        a[-n_links:, : problem.dim] = problem.rates * mu[problem.col_state]
+    if lam is not None:
+        b = b.copy()
+        b[-n_links:] = _link_targets(problem.cfg, lam, problem.eps_g)
+    c = np.concatenate([cost, np.zeros(n_links)])
 
-    n_eq = problem.a_eq.shape[0]
-    a = np.zeros((n_eq + n_ub, problem.dim + n_ub))
-    a[:n_eq, : problem.dim] = problem.a_eq
-    a[n_eq:, : problem.dim] = a_ub
-    a[n_eq:, problem.dim :] = -np.eye(n_ub)
-    b = np.concatenate([problem.b_eq, b_ub])
-    c = np.concatenate([cost, np.zeros(n_ub)])
-
-    result = solve_standard_form(c, a, b, tol=tol, basis=basis)
+    result = solve_standard_form(c, a, b, basis=basis)
     if result.status == "infeasible":
         return LpSolution(
             "infeasible", None, None, None, None, result.iterations, warm=result.warm
@@ -235,7 +225,7 @@ def perturb_cost(
 
 
 def beta_to_alpha(
-    problem: LpProblem, solution: LpSolution, tol: float = DEFAULT_TOL
+    problem: LpProblem, solution: LpSolution
 ) -> dict[tuple[int, int], np.ndarray]:
     """Conditional rate distributions alpha(j, h) from the joint beta.
 
@@ -250,7 +240,7 @@ def beta_to_alpha(
     for (j_idx, h), beta in solution.beta.items():
         members = problem.regions[j_idx][h].members
         sigma_j = solution.sigma[j_idx]
-        if sigma_j > tol:
+        if sigma_j > DEFAULT_TOL:
             pmf = np.maximum(beta, 0.0) / sigma_j
             total = pmf.sum()
             pmf = pmf / total if total > 0 else _zero_point_mass(members)
@@ -269,17 +259,12 @@ def _zero_point_mass(members: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def expected_offered_rates(
-    problem: LpProblem,
-    solution: LpSolution,
-    mu: np.ndarray | None = None,
-) -> np.ndarray:
+def expected_offered_rates(problem: LpProblem, solution: LpSolution) -> np.ndarray:
     """Expected per-link service rate of the planned policy, shape (M, n)."""
     if solution.x is None:
         raise ValueError("offered rates require an optimal solution")
-    mu_vec = problem.cm.pmf if mu is None else np.asarray(mu, dtype=float)
     offered = np.zeros((problem.cfg.n_stations, problem.cfg.n_users))
     for (j_idx, h), beta in solution.beta.items():
         members = problem.regions[j_idx][h].members
-        offered += mu_vec[h] * np.einsum("k,kmu->mu", beta, members)
+        offered += problem.cm.pmf[h] * np.einsum("k,kmu->mu", beta, members)
     return offered

@@ -54,8 +54,9 @@ class RegimeSchedule:
             raise ValueError("regime start slots are 1-based")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError("regime start slots must be strictly increasing")
-        if any(scale <= 0 for _, scale in self.changes):
-            raise ValueError("regime scales must be positive")
+        # written so that NaN fails
+        if any(not 0 < scale < np.inf for _, scale in self.changes):
+            raise ValueError("regime scales must be positive and finite")
 
     def scale_at(self, t: int) -> float:
         scale = 1.0

@@ -27,7 +27,9 @@ turns negative are negated and get an artificial variable, the others keep
 their basic variable. Without a usable basis every row gets an artificial,
 which is the cold start. Both then run the same phase 1, artificial
 drive-out and phase 2, so Bland's rule still guarantees termination, and a
-warm start only shortens phase 1 when few rows lost feasibility.
+warm start only shortens phase 1 when few rows lost feasibility. Phase 2
+runs in the phase-1 tableau's own buffer, its rows packed in place without
+the artificial columns, so a solve allocates one tableau, not two.
 
 Every optimal answer carries a certificate recomputed from the original
 A, b and c: the primal residual, nonnegativity of x, and dual feasibility
@@ -279,8 +281,15 @@ def _two_phase(
         basis = basis[keep_rows]
         m = len(keep_rows)
 
-    # Phase 2: drop artificial columns, rebuild reduced costs for c.
-    tableau = np.concatenate([tableau[:, :n], tableau[:, -1:]], axis=1)
+    # Phase 2: pack each row's original columns and rhs to the front of the
+    # phase-1 buffer, in row order so no unread row is overwritten. Unlike a
+    # strided view (whose dense updates made the bundled re-plans about 5 %
+    # slower) it is contiguous, and it has a copy's size for ``_pivot``.
+    flat, width = tableau.reshape(-1), tableau.shape[1]
+    for i in range(m + 1):
+        flat[i * (n + 1) : i * (n + 1) + n] = flat[i * width : i * width + n]
+        flat[i * (n + 1) + n] = flat[(i + 1) * width - 1]
+    tableau = flat[: (m + 1) * (n + 1)].reshape(m + 1, n + 1)
     tableau[:-1, -1] = np.maximum(tableau[:-1, -1], 0.0)
     tableau[-1, :n] = c - c[basis] @ tableau[:-1, :n]
     tableau[-1, -1] = -float(c[basis] @ tableau[:-1, -1])

@@ -18,24 +18,50 @@ from bssched import ChannelModel, ChannelState, NetworkConfig, build_lp
 # ---------------------------------------------------------------------------
 
 
-def standard_form(problem, cost=None, mu=None, lam=None, eps_g=None):
+def standard_form(problem, cost=None, mu=None, lam=None):
     """Assemble min c@x s.t. a@x = b, x >= 0 for a planning LP instance.
 
-    Coverage inequalities get explicit surplus columns, mirroring the
-    layout the solver sees so the enumeration below explores the same
-    polytope.
+    Built entry by entry from the problem's regions, network and channel,
+    not from its matrices. Columns: sigma in activation order, then one
+    beta per region member (activation-major, then state), then one
+    surplus per link. Rows: the sigma sum, one sigma/beta tie per
+    (activation, state), then one coverage row per link. ``mu`` defaults
+    to the channel pmf and ``lam`` to the configured arrival rates.
     """
-    cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
-    a_ub = problem.coverage_matrix(mu)
-    b_ub = problem.coverage_rhs(lam, eps_g)
-    n_ub = a_ub.shape[0]
-    n_eq = problem.a_eq.shape[0]
-    a = np.zeros((n_eq + n_ub, problem.dim + n_ub))
-    a[:n_eq, : problem.dim] = problem.a_eq
-    a[n_eq:, : problem.dim] = a_ub
-    a[n_eq:, problem.dim :] = -np.eye(n_ub)
-    b = np.concatenate([problem.b_eq, b_ub])
-    c = np.concatenate([cost, np.zeros(n_ub)])
+    cfg, cm, regions = problem.cfg, problem.cm, problem.regions
+    mu = cm.pmf if mu is None else mu
+    lam = cfg.arrival_rates if lam is None else lam
+    links = list(cfg.adjacency)
+    activations = list(itertools.product((0, 1), repeat=cfg.n_stations))
+    n_act, n_states = len(activations), cm.n_states
+    beta = [
+        (j, h, member)
+        for j in range(n_act)
+        for h in range(n_states)
+        for member in regions[j][h].members
+    ]
+    dim = n_act + len(beta)
+    n_eq = 1 + n_act * n_states
+    a = np.zeros((n_eq + len(links), dim + len(links)))
+    b = np.zeros(n_eq + len(links))
+    c = np.zeros(dim + len(links))
+
+    b[0] = 1.0
+    for j, activation in enumerate(activations):
+        a[0, j] = 1.0
+        c[j] = cfg.active_cost * sum(activation)
+        for h in range(n_states):
+            a[1 + j * n_states + h, j] = 1.0
+    for k, (j, h, member) in enumerate(beta):
+        a[1 + j * n_states + h, n_act + k] = -1.0
+        for i, (m, u) in enumerate(links):
+            a[n_eq + i, n_act + k] = mu[h] * member[m, u]
+    for i, (m, u) in enumerate(links):
+        for k in range(len(links)):
+            a[n_eq + i, dim + k] = -float(i == k)  # -I, zeros signed as in -np.eye
+        b[n_eq + i] = lam[m][u] + problem.eps_g
+    if cost is not None:
+        c[:dim] = cost
     return c, a, b
 
 

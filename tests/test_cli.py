@@ -145,6 +145,7 @@ MALFORMED = {
         "update_arrivals_every_slot",
     ),
     "zero_window": (_set("run", "window", 0), "window"),
+    "repeated_seed": (_set("run", "seeds", [0, 0, 1]), "run.seeds"),
     "bernoulli_regime_scale_20": (_set("arrivals", "regimes", [[10, 20.0]]), "regimes"),
     "numeric_name": (_set("name", 7), "name"),
     "numeric_state_name": (_set("channel", "states", 0, "name", 3), "states[0].name"),
@@ -249,6 +250,16 @@ def test_parse_seed_list():
 def test_parse_seed_list_rejects_bad_input(text):
     with pytest.raises(argparse.ArgumentTypeError, match="nonnegative integers"):
         _parse_seed_list(text)
+
+
+def test_run_rejects_repeated_seeds(tmp_path, capsys):
+    """A repeated seed would count twice in the aggregate and race two workers."""
+    config = str(bundled_scenario_path("reference"))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", config, "--out", str(tmp_path), "--seeds", "0,0,1"])
+    assert exc.value.code == 2
+    assert "distinct nonnegative integers, got '0,0,1'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_positive_int():

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import bssched.simplex as simplex
 from bssched import (
     ChannelModel,
     ChannelState,
+    LearningMaxWeight,
     NetworkConfig,
     beta_to_alpha,
     build_lp,
     expected_offered_rates,
     perturb_cost,
     reference_scenario,
+    run,
     solve_lp,
 )
 
@@ -52,16 +55,18 @@ def test_toy_dimension():
     problem = build_lp(cfg, cm)
     # sigma block of 2 plus regions {0} for OFF and {0, serve} for ON
     assert problem.dim == 5
-    assert problem.a_eq.shape == (3, 5)
-    assert problem.coverage_blocks.shape == (1, 1, 5)
+    # 3 equality rows and 1 coverage row; 1 surplus column
+    assert problem.a.shape == (3 + 1, 5 + 1)
+    assert problem.rates.shape == (1, 5)
+    assert problem.col_state.shape == (5,) and cm.n_states == 1
 
 
 def test_reference_dimension():
     cfg, cm = reference_scenario()
     problem = build_lp(cfg, cm, eps_g=0.05)
     assert problem.dim == 608
-    assert problem.a_eq.shape[0] == 1 + 8 * 4
-    assert len(problem.links) == 10
+    assert problem.a.shape == (1 + 8 * 4 + 10, problem.dim + 10)
+    assert problem.rates.shape[0] == 10
     sizes = sum(size for _, size in problem.beta_offsets.values())
     assert problem.n_act + sizes == problem.dim
 
@@ -80,9 +85,9 @@ def test_equality_rows_tie_sigma_to_beta():
     cfg, cm = toy_instance()
     problem = build_lp(cfg, cm)
     # first row: sigma simplex
-    assert np.array_equal(problem.a_eq[0], [1, 1, 0, 0, 0])
-    assert problem.b_eq[0] == 1.0
-    assert np.all(problem.b_eq[1:] == 0.0)
+    assert np.array_equal(problem.a[0], [1, 1, 0, 0, 0, 0])
+    assert problem.b[0] == 1.0
+    assert np.all(problem.b[1:3] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +145,11 @@ def test_solution_satisfies_constraints():
     problem = build_lp(cfg, cm, eps_g=0.05)
     sol = solve_lp(problem)
     assert abs(sol.sigma.sum() - 1.0) < 1e-9
-    assert np.max(np.abs(problem.a_eq @ sol.x - problem.b_eq)) < 1e-9
-    covered = problem.coverage_matrix() @ sol.x
-    assert np.all(covered >= problem.coverage_rhs() - 1e-9)
+    n_links = len(cfg.adjacency)
+    equalities = problem.a[:-n_links, : problem.dim]
+    assert np.max(np.abs(equalities @ sol.x - problem.b[:-n_links])) < 1e-9
+    covered = problem.a[-n_links:, : problem.dim] @ sol.x
+    assert np.all(covered >= problem.b[-n_links:] - 1e-9)
 
 
 def test_solver_is_deterministic():
@@ -200,13 +207,62 @@ def test_estimate_overrides_reuse_problem():
     lam_hat = cfg.arrival_rates * 0.9
     sol = solve_lp(problem, mu=mu_hat, lam=lam_hat)
     assert sol.status == "optimal"
-    covered = problem.coverage_matrix(mu_hat) @ sol.x
-    assert np.all(covered >= problem.coverage_rhs(lam_hat) - 1e-9)
+    _, a, b = standard_form(problem, mu=mu_hat, lam=lam_hat)
+    n_links = len(cfg.adjacency)
+    covered = a[-n_links:, : problem.dim] @ sol.x
+    assert np.all(covered >= b[-n_links:] - 1e-9)
     # solving with explicit defaults matches the plain call
     again = solve_lp(problem, mu=cm.pmf, lam=cfg.arrival_rates)
     assert again.objective == pytest.approx(
         solve_lp(problem).objective, abs=1e-12
     )
+
+
+def _capture_standard_form(monkeypatch):
+    """Record every (c, a, b) that solve_lp hands the simplex."""
+    calls = []
+    real = simplex.solve_standard_form
+
+    def spy(c, a, b, **kwargs):
+        calls.append((c, a, b))
+        return real(c, a, b, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_standard_form", spy)
+    return calls
+
+
+def test_solver_gets_the_oracle_standard_form(monkeypatch):
+    """Byte for byte, under the true pmf and under estimates with a zero mu."""
+    calls = _capture_standard_form(monkeypatch)
+    cfg, cm = reference_scenario()
+    problem = build_lp(cfg, cm, eps_g=0.05)
+    cost = perturb_cost(problem, 0.01, np.random.default_rng(0))
+    mu_hat = np.array([0.5, 0.0, 0.3, 0.2])
+    scale = np.random.default_rng(1).uniform(0.5, 1.1, cfg.arrival_rates.shape)
+    lam_hat = cfg.arrival_rates * scale
+    cases = [{}, {"cost": cost}, {"cost": cost, "mu": mu_hat, "lam": lam_hat},
+             {"mu": mu_hat}, {"lam": lam_hat}]
+    for kwargs in cases:
+        assert solve_lp(problem, **kwargs).status == "optimal"
+    assert len(calls) == len(cases)
+    for kwargs, got in zip(cases, calls):
+        want = standard_form(problem, **kwargs)
+        for got_v, want_v in zip(got, want):
+            assert got_v.dtype == want_v.dtype and got_v.shape == want_v.shape
+            assert got_v.tobytes() == want_v.tobytes()
+    # a true-parameter solve hands over the problem's own arrays
+    assert calls[0][1] is problem.a and calls[0][2] is problem.b
+
+
+def test_learning_resolves_leave_the_problem_unchanged():
+    cfg, cm = reference_scenario()
+    rng = np.random.default_rng(0)
+    policy = LearningMaxWeight(cfg, cm, eps_s=0.2, eps_p=0.01, eps_g=0.05, rng=rng)
+    a, b = policy.problem.a.copy(), policy.problem.b.copy()
+    run(cfg, cm, policy, horizon=300, seed=0, rng=rng)
+    assert policy.lp_solves > 0
+    assert policy.problem.a.tobytes() == a.tobytes()
+    assert policy.problem.b.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

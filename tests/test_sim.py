@@ -231,6 +231,9 @@ def test_regime_schedule_validation():
         RegimeSchedule(changes=((10, 0.0),))
     with pytest.raises(ValueError, match="positive"):
         RegimeSchedule(changes=((10, -1.0),))
+    for scale in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            RegimeSchedule(changes=((10, scale),))
     with pytest.raises(ValueError, match="strictly increasing"):
         RegimeSchedule(changes=((20, 2.0), (10, 1.0)))
     with pytest.raises(ValueError, match="strictly increasing"):
