@@ -51,9 +51,7 @@ from .policies import (
 from .rateregion import (
     ChannelModel,
     ChannelState,
-    RateRegion,
     full_region,
-    reference_scenario,
     region_index,
     restricted_region,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "PerturbedChain",
     "Policy",
     "PolicyError",
-    "RateRegion",
     "RegimeSchedule",
     "SimTrace",
     "SimplexError",
@@ -107,7 +104,6 @@ __all__ = [
     "network_cost",
     "p_sigma_eps",
     "perturb_cost",
-    "reference_scenario",
     "region_index",
     "restricted_region",
     "run",

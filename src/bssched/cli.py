@@ -285,6 +285,12 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(resources.files("bssched").joinpath("scenarios", f"{name}.json")))
 
 
+def reference_scenario() -> tuple[NetworkConfig, ChannelModel]:
+    """The network and channel of the bundled ``reference`` scenario."""
+    scenario = load_scenario(bundled_scenario_path("reference"))
+    return scenario.cfg, scenario.cm
+
+
 def _package_version() -> str:
     try:
         return metadata.version("bssched")
@@ -391,14 +397,14 @@ def _lp_report(scenario: Scenario, eps_g: float, eps_p: float, seed: int) -> dic
     sigma = solution.sigma
     alpha = beta_to_alpha(problem, solution)
     offered = expected_offered_rates(problem, solution)
-    active = problem.activations.sum(axis=1)
+    required = problem.b[-problem.rates.shape[0] :]
     report.update(
         {
             "objective": solution.objective,
-            "expected_active_stations": float(sigma @ active),
-            "activity_cost": float(
-                (scenario.cfg.active_cost * active) @ sigma
+            "expected_active_stations": float(
+                sigma @ problem.activations.sum(axis=1)
             ),
+            "activity_cost": float(problem.base_cost[: problem.n_act] @ sigma),
             "sigma": [
                 {
                     "id": j_idx,
@@ -410,8 +416,8 @@ def _lp_report(scenario: Scenario, eps_g: float, eps_p: float, seed: int) -> dic
             ],
             "offered_rates": offered.tolist(),
             "required_rates": [
-                [m, u, float(scenario.cfg.arrival_rates[m, u] + eps_g)]
-                for m, u in scenario.cfg.adjacency
+                [m, u, float(rate)]
+                for (m, u), rate in zip(scenario.cfg.adjacency, required)
             ],
             "alpha": {
                 f"{j_idx},{h}": alpha[(j_idx, h)].tolist()

@@ -21,10 +21,10 @@ Constraints, with mu the channel pmf and lam the arrival-rate matrix:
 (A x = b, x >= 0, the coverage rows closed by surplus columns). A re-solve
 under estimated (mu, lam) rewrites only the coverage rows of a copy.
 
-The base objective prices steady-state activity only (active_cost times the
-expected number of ON stations); switching costs vanish in steady state for
-a fixed activation distribution and are accounted for by the policies'
-resampling rate instead.
+The base objective prices each activation j at its steady-state cost
+``network_cost(j, j)``, active_cost per ON station plus sleep_cost per OFF
+one; switching costs vanish in steady state for a fixed activation
+distribution and are paid through the policies' resampling rate instead.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkConfig, enumerate_activations
-from .rateregion import ChannelModel, RateRegion, region_index
+from .model import NetworkConfig, enumerate_activations, network_cost
+from .rateregion import ChannelModel, region_index
+from .simplex import SimplexError, solve_standard_form
 
 DEFAULT_TOL = 1e-9
 
@@ -53,7 +54,7 @@ class LpProblem:
     cm: ChannelModel
     eps_g: float
     activations: np.ndarray  # (n_act, n_stations)
-    regions: list[list[RateRegion]]  # [j_index][h_index]
+    regions: list[list[np.ndarray]]  # [j_index][h_index], each (K, M, n)
     beta_offsets: dict[tuple[int, int], tuple[int, int]]  # (j,h) -> (start, size)
     dim: int  # sigma and beta columns, without the surplus columns
     n_act: int
@@ -69,8 +70,7 @@ class LpSolution:
     status: str  # "optimal" | "infeasible"
     objective: float | None
     sigma: np.ndarray | None  # (n_act,)
-    beta: dict[tuple[int, int], np.ndarray] | None
-    x: np.ndarray | None
+    x: np.ndarray | None  # sigma and beta columns, as in LpProblem.beta_offsets
     iterations: int
     basis: np.ndarray | None = None  # optimal basis of the standard form
     warm: bool = False  # the answer came from a warm start
@@ -101,8 +101,8 @@ def build_lp(
     offset = n_act
     for j_idx, row in enumerate(regions):
         for h, reg in enumerate(row):
-            beta_offsets[(j_idx, h)] = (offset, len(reg))
-            offset += len(reg)
+            beta_offsets[(j_idx, h)] = (offset, reg.shape[0])
+            offset += reg.shape[0]
     dim = offset
 
     n_eq = 1 + n_act * cm.n_states
@@ -115,8 +115,7 @@ def build_lp(
     for row, ((j_idx, h), (start, size)) in enumerate(beta_offsets.items(), 1):
         a[row, j_idx] = 1.0
         a[row, start : start + size] = -1.0
-        members = regions[j_idx][h].members
-        rates[:, start : start + size] = members[:, stations, users].T
+        rates[:, start : start + size] = regions[j_idx][h][:, stations, users].T
         col_state[start : start + size] = h
     a[n_eq:, :dim] = rates * np.asarray(cm.pmf, dtype=float)[col_state]
     a[n_eq:, dim:] = -np.eye(n_links)
@@ -124,7 +123,7 @@ def build_lp(
     a.flags.writeable = b.flags.writeable = False
 
     base_cost = np.zeros(dim)
-    base_cost[:n_act] = cfg.active_cost * activations.sum(axis=1)
+    base_cost[:n_act] = [network_cost(j, j, cfg) for j in activations]
 
     return LpProblem(
         cfg=cfg,
@@ -165,8 +164,6 @@ def solve_lp(
     the same problem, warm starts the simplex; a re-solve under moved
     estimates then pivots only where they differ.
     """
-    from .simplex import SimplexError, solve_standard_form
-
     cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
     a, b = problem.a, problem.b
     n_links = problem.rates.shape[0]
@@ -182,23 +179,17 @@ def solve_lp(
     result = solve_standard_form(c, a, b, basis=basis)
     if result.status == "infeasible":
         return LpSolution(
-            "infeasible", None, None, None, None, result.iterations, warm=result.warm
+            "infeasible", None, None, None, result.iterations, warm=result.warm
         )
     if result.status != "optimal":
         raise SimplexError(f"unexpected solver status {result.status!r}")
 
     assert result.x is not None
     x = result.x[: problem.dim]
-    sigma = x[: problem.n_act].copy()
-    beta = {
-        key: x[start : start + size].copy()
-        for key, (start, size) in problem.beta_offsets.items()
-    }
     return LpSolution(
         status="optimal",
         objective=float(cost @ x),
-        sigma=sigma,
-        beta=beta,
+        sigma=x[: problem.n_act].copy(),
         x=x,
         iterations=result.iterations,
         basis=result.basis,
@@ -227,7 +218,7 @@ def perturb_cost(
 def beta_to_alpha(
     problem: LpProblem, solution: LpSolution
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Conditional rate distributions alpha(j, h) from the joint beta.
+    """Conditional rate distributions alpha(j, h) from the joint beta in x.
 
     alpha_{j,h} = beta_{j,h} / sigma_j when sigma_j is positive. For unused
     activations the conditional is arbitrary; it is pinned to a point mass
@@ -235,10 +226,11 @@ def beta_to_alpha(
     """
     if solution.status != "optimal":
         raise ValueError("alpha requires an optimal solution")
-    assert solution.sigma is not None and solution.beta is not None
+    assert solution.sigma is not None and solution.x is not None
     alpha: dict[tuple[int, int], np.ndarray] = {}
-    for (j_idx, h), beta in solution.beta.items():
-        members = problem.regions[j_idx][h].members
+    for (j_idx, h), (start, size) in problem.beta_offsets.items():
+        beta = solution.x[start : start + size]
+        members = problem.regions[j_idx][h]
         sigma_j = solution.sigma[j_idx]
         if sigma_j > DEFAULT_TOL:
             pmf = np.maximum(beta, 0.0) / sigma_j
@@ -264,7 +256,8 @@ def expected_offered_rates(problem: LpProblem, solution: LpSolution) -> np.ndarr
     if solution.x is None:
         raise ValueError("offered rates require an optimal solution")
     offered = np.zeros((problem.cfg.n_stations, problem.cfg.n_users))
-    for (j_idx, h), beta in solution.beta.items():
-        members = problem.regions[j_idx][h].members
+    for (j_idx, h), (start, size) in problem.beta_offsets.items():
+        beta = solution.x[start : start + size]
+        members = problem.regions[j_idx][h]
         offered += problem.cm.pmf[h] * np.einsum("k,kmu->mu", beta, members)
     return offered

@@ -91,8 +91,8 @@ class NetworkConfig:
             if np.any(rates[off] != 0):
                 errors.append("arrival_rates must be zero off the adjacency")
         for name in ("switch_off_cost", "active_cost", "switch_on_cost", "sleep_cost"):
-            if not getattr(self, name) >= 0:
-                errors.append(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                errors.append(f"{name} must be nonnegative and finite")
         return errors
 
     def adjacency_mask(self) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .lp import LpSolution, beta_to_alpha, build_lp, perturb_cost, solve_lp
 from .model import NetworkConfig
-from .rateregion import ChannelModel, RateRegion, full_region
+from .rateregion import ChannelModel, full_region
 from .sim import draw_channel_index
 
 POLICY_NAMES = (
@@ -64,13 +64,14 @@ class PolicyError(Exception):
     """Raised when a policy cannot be constructed for the scenario."""
 
 
-def max_weight(q: np.ndarray, region: RateRegion) -> int:
-    """Index of the region member maximizing sum(q * r).
+def max_weight(q: np.ndarray, region: np.ndarray) -> int:
+    """Index of the member of ``region`` (K, M, n) maximizing sum(q * r).
 
-    Ties break toward the earliest member in region enumeration order, so
-    the zero matrix wins when all queues are empty.
+    Ties break toward the earliest member in region order, so empty queues
+    pick member 0: the zero matrix under one_user_per_station, whatever
+    comes first in an explicit region (which then serves nothing anyway).
     """
-    weights = region.members.reshape(len(region), -1) @ q.ravel()
+    weights = region.reshape(region.shape[0], -1) @ q.ravel()
     return int(np.argmax(weights))
 
 
@@ -164,7 +165,7 @@ class Policy:
     def _serve(self, q, j, h_index, rng) -> np.ndarray:
         """Max-Weight over R(j, h_index)."""
         region = self.regions[j][h_index]
-        return region.members[max_weight(q, region)]
+        return region[max_weight(q, region)]
 
 
 class AlwaysOnMaxWeight(Policy):
@@ -228,7 +229,7 @@ class StaticSplitStatic(StaticSplitMaxWeight):
 
     def _serve(self, q, j, h_index, rng):
         region = self.regions[j][h_index]
-        return region.members[draw_channel_index(self._alpha_cdf[(j, h_index)], rng)]
+        return region[draw_channel_index(self._alpha_cdf[(j, h_index)], rng)]
 
 
 class LearningMaxWeight(Policy):

@@ -15,7 +15,6 @@ member list for every channel state straight from the configuration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,16 +95,6 @@ class ChannelModel:
         return errors
 
 
-@dataclass(frozen=True)
-class RateRegion:
-    """A finite set of feasible rate matrices, stacked as (K, M, n)."""
-
-    members: np.ndarray
-
-    def __len__(self) -> int:
-        return self.members.shape[0]
-
-
 def _dedupe_members(stacked: np.ndarray) -> np.ndarray:
     """Drop duplicate matrices, keeping first occurrence order."""
     seen: dict[bytes, None] = {}
@@ -118,45 +107,41 @@ def _dedupe_members(stacked: np.ndarray) -> np.ndarray:
     return stacked[keep]
 
 
-def full_region(cm: ChannelModel, cfg: NetworkConfig, h_index: int) -> RateRegion:
-    """R(1, h): every feasible rate matrix with all stations active.
+def full_region(cm: ChannelModel, cfg: NetworkConfig, h_index: int) -> np.ndarray:
+    """R(1, h): every feasible rate matrix with all stations active, (K, M, n).
 
     For one_user_per_station the members are all combinations of per-station
     choices, each station idling or serving one adjacent user with a positive
-    current rate. The all-zero matrix is always member 0.
+    current rate, station 0's choice varying slowest; the all-zero matrix is
+    member 0. An explicit region keeps the member order of its configuration.
     """
     if cm.interference == EXPLICIT:
         assert cm.explicit_regions is not None
-        return RateRegion(np.asarray(cm.explicit_regions[h_index], dtype=np.int64))
+        return np.asarray(cm.explicit_regions[h_index], dtype=np.int64)
 
     rates = cm.rates_for(h_index)
     mask = cfg.adjacency_mask()
-    options: list[list[np.ndarray]] = []
+    options = []  # per station: (1 + degree, n) rows, idle first
     for m in range(cfg.n_stations):
-        rows = [np.zeros(cfg.n_users, dtype=np.int64)]
-        for u in range(cfg.n_users):
-            if mask[m, u] and rates[m, u] > 0:
-                row = np.zeros(cfg.n_users, dtype=np.int64)
-                row[u] = rates[m, u]
-                rows.append(row)
+        users = np.flatnonzero(mask[m] & (rates[m] > 0))
+        rows = np.zeros((1 + users.size, cfg.n_users), dtype=np.int64)
+        rows[np.arange(1, 1 + users.size), users] = rates[m, users]
         options.append(rows)
-    members = np.array(
-        [np.stack(combo) for combo in itertools.product(*options)], dtype=np.int64
-    )
-    return RateRegion(members)
+    choice = np.indices([len(rows) for rows in options]).reshape(cfg.n_stations, -1)
+    return np.stack([rows[c] for rows, c in zip(options, choice)], axis=1)
 
 
-def restricted_region(region: RateRegion, j: np.ndarray) -> RateRegion:
+def restricted_region(region: np.ndarray, j: np.ndarray) -> np.ndarray:
     """R(j, h) from R(1, h): zero the OFF rows and drop duplicates.
 
     Restricting is idempotent and monotone: a smaller activation vector can
     only shrink the region, and the zero matrix always survives.
     """
     j = np.asarray(j).reshape(1, -1, 1)
-    return RateRegion(_dedupe_members(region.members * j))
+    return _dedupe_members(region * j)
 
 
-def region_index(cfg: NetworkConfig, cm: ChannelModel) -> list[list[RateRegion]]:
+def region_index(cfg: NetworkConfig, cm: ChannelModel) -> list[list[np.ndarray]]:
     """Every region R(j, h) of a scenario, indexed [j_index][h_index].
 
     Rows follow ``enumerate_activations`` order, so ``activation_id(j)``
@@ -167,50 +152,3 @@ def region_index(cfg: NetworkConfig, cm: ChannelModel) -> list[list[RateRegion]]
         [restricted_region(region, j) for region in full]
         for j in enumerate_activations(cfg.n_stations)
     ]
-
-
-def reference_scenario() -> tuple[NetworkConfig, ChannelModel]:
-    """Bundled 5-user, 3-station benchmark network.
-
-    Stations 0 and 2 each cover three users, station 1 covers four; users
-    0, 1 (stations 0, 1), users 2, 3 (stations 1, 2) and user 4
-    (stations 0, 2) are each covered twice. Arrivals are Bernoulli(0.1) on
-    every link. The channel has four equally likely states: all links bad
-    (rate 1), or exactly one station "good" with rate 2 on its links.
-    Switching-off and per-slot activity both cost 1.
-    """
-    n_users, n_stations = 5, 3
-    adjacency = (
-        (0, 0), (0, 1), (0, 4),
-        (1, 0), (1, 1), (1, 2), (1, 3),
-        (2, 2), (2, 3), (2, 4),
-    )
-    rates = np.zeros((n_stations, n_users))
-    for m, u in adjacency:
-        rates[m, u] = 0.1
-    cfg = NetworkConfig(
-        n_users=n_users,
-        n_stations=n_stations,
-        adjacency=adjacency,
-        arrival_rates=rates,
-        max_arrivals=1,
-        max_rate=2,
-        switch_off_cost=1.0,
-        active_cost=1.0,
-    )
-    mask = cfg.adjacency_mask()
-
-    def state(name: str, good_station: int | None) -> ChannelState:
-        r = np.where(mask, 1, 0)
-        if good_station is not None:
-            r[good_station] = np.where(mask[good_station], 2, 0)
-        return ChannelState(name=name, rates=r.astype(np.int64))
-
-    states = (
-        state("all_bad", None),
-        state("good_station_0", 0),
-        state("good_station_1", 1),
-        state("good_station_2", 2),
-    )
-    cm = ChannelModel(states=states, pmf=np.full(4, 0.25))
-    return cfg, cm

@@ -25,8 +25,9 @@ def standard_form(problem, cost=None, mu=None, lam=None):
     not from its matrices. Columns: sigma in activation order, then one
     beta per region member (activation-major, then state), then one
     surplus per link. Rows: the sigma sum, one sigma/beta tie per
-    (activation, state), then one coverage row per link. ``mu`` defaults
-    to the channel pmf and ``lam`` to the configured arrival rates.
+    (activation, state), then one coverage row per link. Activation j
+    costs active_cost * |j| + sleep_cost * (M - |j|). ``mu`` defaults to
+    the channel pmf and ``lam`` to the configured arrival rates.
     """
     cfg, cm, regions = problem.cfg, problem.cm, problem.regions
     mu = cm.pmf if mu is None else mu
@@ -38,7 +39,7 @@ def standard_form(problem, cost=None, mu=None, lam=None):
         (j, h, member)
         for j in range(n_act)
         for h in range(n_states)
-        for member in regions[j][h].members
+        for member in regions[j][h]
     ]
     dim = n_act + len(beta)
     n_eq = 1 + n_act * n_states
@@ -49,7 +50,8 @@ def standard_form(problem, cost=None, mu=None, lam=None):
     b[0] = 1.0
     for j, activation in enumerate(activations):
         a[0, j] = 1.0
-        c[j] = cfg.active_cost * sum(activation)
+        on = sum(activation)
+        c[j] = cfg.active_cost * on + cfg.sleep_cost * (cfg.n_stations - on)
         for h in range(n_states):
             a[1 + j * n_states + h, j] = 1.0
     for k, (j, h, member) in enumerate(beta):
@@ -194,7 +196,7 @@ def random_small_instance(rng):
     sigma = rng.dirichlet(np.ones(plan.n_act))
     offered = np.zeros((n_stations, n_users))
     for (j_idx, h), (_, size) in plan.beta_offsets.items():
-        members = plan.regions[j_idx][h].members
+        members = plan.regions[j_idx][h]
         alpha = rng.dirichlet(np.ones(size))
         offered += sigma[j_idx] * pmf[h] * np.einsum("k,kmu->mu", alpha, members)
     lam = np.minimum(0.8 * offered, 0.95)

@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` wraps functions by module and name, and a metric
 whose function was renamed or moved reads 0 instead of failing. One traced
-1-slot ``static_split_mw`` run must record a span for each name below.
+1-slot ``static_split_mw`` run must record a span for each name below,
+count a positive number of region members, and show the simplex called
+from ``lp.solve_lp``.
 """
 
 import json
@@ -17,8 +19,13 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACED_NAMES = (
     "sim.draw_channel_index",
     "model.activation_id",
+    "model.network_cost",
     "policies.max_weight",
+    "rateregion.full_region",
+    "rateregion.restricted_region",
+    "lp.build_lp",
     "lp.solve_lp",
+    "simplex.solve_standard_form",
 )
 
 
@@ -48,3 +55,11 @@ def test_traced_run_records_every_metric_span(tmp_path):
         counts[doc["names"][name_id]] += 1
     for name in TRACED_NAMES:
         assert counts.get(name, 0) >= 1, f"no span recorded for {name}"
+    assert doc["counters"].get("members", 0) > 0
+    names = doc["names"]
+    callers = {
+        names[doc["spans"][parent][0]]
+        for name_id, _, _, parent in doc["spans"]
+        if names[name_id] == "simplex.solve_standard_form"
+    }
+    assert callers == {"lp.solve_lp"}

@@ -25,10 +25,10 @@ from bssched.cli import (
     load_scenario,
     main,
     parse_scenario,
+    reference_scenario,
 )
 from bssched.lp import build_lp, solve_lp
 from bssched.policies import POLICY_DEFAULTS, make_policy
-from bssched.rateregion import reference_scenario
 from bssched.sim import run
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -58,17 +58,20 @@ def test_validate_bundled_scenarios(capsys):
 
 
 def test_bundled_scenario_matches_library_reference():
+    """The bundled file has the reference network the README documents."""
     scenario = load_scenario(bundled_scenario_path("reference"))
-    cfg, cm = reference_scenario()
-    assert scenario.cfg.adjacency == cfg.adjacency
-    assert np.allclose(scenario.cfg.arrival_rates, cfg.arrival_rates)
-    assert scenario.cfg.switch_off_cost == cfg.switch_off_cost
-    assert scenario.cfg.active_cost == cfg.active_cost
-    assert scenario.cm.n_states == cm.n_states
-    assert np.allclose(scenario.cm.pmf, cm.pmf)
-    for got, want in zip(scenario.cm.states, cm.states):
-        assert got.name == want.name
-        assert np.array_equal(got.rates, want.rates)
+    cfg, cm = scenario.cfg, scenario.cm
+    mask = cfg.adjacency_mask()
+    assert mask.sum(axis=1).tolist() == [3, 4, 3]  # station degrees
+    assert mask.sum(axis=0).tolist() == [2] * 5  # every user covered twice
+    assert [st.name for st in cm.states] == [
+        "all_bad", "good_station_0", "good_station_1", "good_station_2"
+    ]
+    assert cm.pmf.tolist() == [0.25] * 4
+    assert scenario.arrival_law == "bernoulli" and scenario.regime is None
+    assert np.array_equal(cfg.arrival_rates, np.where(mask, 0.1, 0.0))
+    assert (cfg.switch_off_cost, cfg.active_cost) == (1.0, 1.0)
+    assert (cfg.switch_on_cost, cfg.sleep_cost) == (0.0, 0.0)
     assert scenario.policy_name == "algorithm1"
     assert scenario.horizon == 200_000
     assert scenario.seeds == [0, 1, 2, 3, 4]
@@ -381,6 +384,37 @@ def test_lp_zero_load_turns_everything_off(tmp_path, capsys, reference_config):
     assert len(report["sigma"]) == 1
     assert report["sigma"][0]["activation"] == [0, 0, 0]
     assert report["sigma"][0]["probability"] == pytest.approx(1.0)
+
+
+def sleepy_reference(reference_config):
+    """The reference scenario with an OFF station costing 2, an ON one 1."""
+    sleepy = copy.deepcopy(reference_config)
+    sleepy["network"]["costs"]["sleep"] = 2.0
+    return sleepy
+
+
+def test_lp_prices_the_sleep_cost(tmp_path, capsys, reference_config):
+    """Activation j costs |j| + 2 (3 - |j|), so the plan keeps all three ON."""
+    path = write_config(tmp_path, sleepy_reference(reference_config))
+    assert main(["lp", "--config", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["objective"] == pytest.approx(3.0, abs=1e-9)
+    assert report["activity_cost"] == pytest.approx(3.0, abs=1e-9)
+    assert [(e["id"], e["activation"]) for e in report["sigma"]] == [(7, [1, 1, 1])]
+    assert report["sigma"][0]["probability"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_static_split_pays_the_planned_sleep_cost(tmp_path, reference_config):
+    sleepy = sleepy_reference(reference_config)
+    sleepy["policy"] = {"name": "static_split_mw"}
+    path = write_config(tmp_path, sleepy)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out),
+            "--horizon", "2000", "--seeds", "0"]
+    assert main(argv) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seeds"]["0"]["avg_cost"] == pytest.approx(3.0, abs=1e-9)
+    assert summary["lp"]["objective"] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_lp_report_written_to_file(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Planning LP: construction, solving, perturbation, alpha extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-import bssched.simplex as simplex
+import bssched.lp as lp_module
 from bssched import (
     ChannelModel,
     ChannelState,
@@ -13,10 +15,10 @@ from bssched import (
     build_lp,
     expected_offered_rates,
     perturb_cost,
-    reference_scenario,
     run,
     solve_lp,
 )
+from bssched.cli import reference_scenario
 
 from oracles import bfs_minimum, bfs_vertices, random_small_instance, standard_form
 
@@ -72,6 +74,7 @@ def test_reference_dimension():
 
 
 def test_base_cost_prices_activity_only():
+    """With no sleep cost, activation j costs active_cost * |j|."""
     cfg, cm = reference_scenario()
     problem = build_lp(cfg, cm)
     active = problem.activations.sum(axis=1)
@@ -221,37 +224,40 @@ def test_estimate_overrides_reuse_problem():
 def _capture_standard_form(monkeypatch):
     """Record every (c, a, b) that solve_lp hands the simplex."""
     calls = []
-    real = simplex.solve_standard_form
+    real = lp_module.solve_standard_form
 
     def spy(c, a, b, **kwargs):
         calls.append((c, a, b))
         return real(c, a, b, **kwargs)
 
-    monkeypatch.setattr(simplex, "solve_standard_form", spy)
+    monkeypatch.setattr(lp_module, "solve_standard_form", spy)
     return calls
 
 
 def test_solver_gets_the_oracle_standard_form(monkeypatch):
-    """Byte for byte, under the true pmf and under estimates with a zero mu."""
+    """Byte for byte, under the true pmf and under estimates with a zero mu,
+    without and with a sleep cost."""
     calls = _capture_standard_form(monkeypatch)
-    cfg, cm = reference_scenario()
-    problem = build_lp(cfg, cm, eps_g=0.05)
-    cost = perturb_cost(problem, 0.01, np.random.default_rng(0))
-    mu_hat = np.array([0.5, 0.0, 0.3, 0.2])
-    scale = np.random.default_rng(1).uniform(0.5, 1.1, cfg.arrival_rates.shape)
-    lam_hat = cfg.arrival_rates * scale
-    cases = [{}, {"cost": cost}, {"cost": cost, "mu": mu_hat, "lam": lam_hat},
-             {"mu": mu_hat}, {"lam": lam_hat}]
-    for kwargs in cases:
-        assert solve_lp(problem, **kwargs).status == "optimal"
-    assert len(calls) == len(cases)
-    for kwargs, got in zip(cases, calls):
-        want = standard_form(problem, **kwargs)
-        for got_v, want_v in zip(got, want):
-            assert got_v.dtype == want_v.dtype and got_v.shape == want_v.shape
-            assert got_v.tobytes() == want_v.tobytes()
-    # a true-parameter solve hands over the problem's own arrays
-    assert calls[0][1] is problem.a and calls[0][2] is problem.b
+    ref_cfg, cm = reference_scenario()
+    for cfg in (ref_cfg, dataclasses.replace(ref_cfg, sleep_cost=2.0)):
+        calls.clear()
+        problem = build_lp(cfg, cm, eps_g=0.05)
+        cost = perturb_cost(problem, 0.01, np.random.default_rng(0))
+        mu_hat = np.array([0.5, 0.0, 0.3, 0.2])
+        scale = np.random.default_rng(1).uniform(0.5, 1.1, cfg.arrival_rates.shape)
+        lam_hat = cfg.arrival_rates * scale
+        cases = [{}, {"cost": cost}, {"cost": cost, "mu": mu_hat, "lam": lam_hat},
+                 {"mu": mu_hat}, {"lam": lam_hat}]
+        for kwargs in cases:
+            assert solve_lp(problem, **kwargs).status == "optimal"
+        assert len(calls) == len(cases)
+        for kwargs, got in zip(cases, calls):
+            want = standard_form(problem, **kwargs)
+            for got_v, want_v in zip(got, want):
+                assert got_v.dtype == want_v.dtype and got_v.shape == want_v.shape
+                assert got_v.tobytes() == want_v.tobytes()
+        # a true-parameter solve hands over the problem's own arrays
+        assert calls[0][1] is problem.a and calls[0][2] is problem.b
 
 
 def test_learning_resolves_leave_the_problem_unchanged():
@@ -350,8 +356,9 @@ def test_alpha_direct_ratio():
     sol = solve_lp(problem)
     alpha = beta_to_alpha(problem, sol)
     on_idx = 1
+    start, size = problem.beta_offsets[(on_idx, 0)]
     np.testing.assert_allclose(
-        alpha[(on_idx, 0)], sol.beta[(on_idx, 0)] / sol.sigma[on_idx], atol=1e-9
+        alpha[(on_idx, 0)], sol.x[start : start + size] / sol.sigma[on_idx], atol=1e-9
     )
 
 
@@ -376,7 +383,7 @@ def test_alpha_unused_state_is_zero_point_mass():
     j_idx = unused[0]
     for h in range(cm.n_states):
         pmf = alpha[(j_idx, h)]
-        members = problem.regions[j_idx][h].members
+        members = problem.regions[j_idx][h]
         chosen = members[np.argmax(pmf)]
         assert pmf.max() == 1.0 and np.all(chosen == 0)
 
@@ -392,7 +399,7 @@ def test_planned_offered_rates_cover_target():
     alpha = beta_to_alpha(problem, sol)
     rebuilt = np.zeros_like(offered)
     for (j_idx, h), pmf in alpha.items():
-        members = problem.regions[j_idx][h].members
+        members = problem.regions[j_idx][h]
         rebuilt += (
             sol.sigma[j_idx] * cm.pmf[h] * np.einsum("k,kmu->mu", pmf, members)
         )

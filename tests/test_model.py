@@ -61,6 +61,9 @@ def test_config_rejects_nan_rates_and_costs():
         small_cfg(arrival_rates=rates)
     with pytest.raises(ValueError, match="active_cost must be nonnegative"):
         small_cfg(active_cost=np.nan)
+    # an infinite cost would price holding an activation at inf * 0 = NaN
+    with pytest.raises(ValueError, match="switch_off_cost must be nonnegative"):
+        small_cfg(switch_off_cost=np.inf)
 
 
 def test_config_rejects_negative_cost():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bssched.policies as policies_module
-from bssched.cli import bundled_scenario_path, load_scenario
+from bssched.cli import bundled_scenario_path, load_scenario, reference_scenario
 from bssched.model import NetworkConfig, activation_id, step_queues
 from bssched.policies import (
     POLICY_NAMES,
@@ -23,7 +23,6 @@ from bssched.rateregion import (
     ChannelModel,
     ChannelState,
     full_region,
-    reference_scenario,
     region_index,
 )
 from bssched.sim import run, stability_fraction
@@ -83,7 +82,28 @@ def test_max_weight_zero_queue_picks_zero_member(reference):
         region = full_region(cm, cfg, h)
         idx = max_weight(np.zeros((3, 5)), region)
         assert idx == 0
-        assert not region.members[idx].any()
+        assert not region[idx].any()
+
+
+def test_explicit_region_keeps_its_order_for_empty_queues():
+    """Empty queues pick member 0 even when the zero matrix comes second."""
+    cfg = NetworkConfig(
+        n_users=2, n_stations=1, adjacency=((0, 0), (0, 1)),
+        arrival_rates=np.zeros((1, 2)),
+    )
+    members = np.array([[[1, 0]], [[0, 0]], [[0, 1]]])
+    cm = ChannelModel(
+        states=(ChannelState("h0", np.array([[1, 1]])),), pmf=np.array([1.0]),
+        interference="explicit", explicit_regions=(members,),
+    )
+    assert cm.validate_against(cfg) == []
+    q = np.zeros((1, 2), dtype=np.int64)
+    assert max_weight(q, full_region(cm, cfg, 0)) == 0
+    policy = AlwaysOnMaxWeight(cfg, cm)
+    _, s, _ = policy.step(1, q, 0, q, np.random.default_rng(0))
+    assert s.tolist() == [[1, 0]]
+    next_q, departures = step_queues(q, s, q)
+    assert not departures.any() and not next_q.any()
 
 
 def test_max_weight_serves_heaviest_link(reference):
@@ -91,7 +111,7 @@ def test_max_weight_serves_heaviest_link(reference):
     q = np.zeros((3, 5))
     q[1, 2] = 50.0
     region = full_region(cm, cfg, 0)
-    s = region.members[max_weight(q, region)]
+    s = region[max_weight(q, region)]
     assert s[1, 2] == 1
     assert s.sum() >= s[1, 2]
 
@@ -107,7 +127,7 @@ def test_max_weight_matches_brute_force(reference):
         j = rng.integers(0, 2, size=3)
         h = int(rng.integers(0, cm.n_states))
         region = regions[activation_id(j)][h]
-        assert max_weight(q, region) == brute_force_max_weight(q, region.members)
+        assert max_weight(q, region) == brute_force_max_weight(q, region)
 
 
 def test_max_weight_scale_invariance(reference):
@@ -135,7 +155,7 @@ def test_max_weight_value_grows_with_activation(reference):
 
         def best_value(j):
             region = regions[activation_id(j)][h]
-            flat = region.members.reshape(len(region), -1)
+            flat = region.reshape(len(region), -1)
             return float((flat @ q.ravel()).max())
 
         assert best_value(j_big) >= best_value(j_small) - 1e-12

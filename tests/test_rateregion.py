@@ -13,11 +13,11 @@ from bssched import (
     enumerate_activations,
     full_region,
     make_policy,
-    reference_scenario,
     region_index,
     restricted_region,
     run,
 )
+from bssched.cli import reference_scenario
 
 from oracles import count_one_user_region, enumerate_one_user_region
 
@@ -87,10 +87,10 @@ def test_validate_against_flags_rate_problems():
 
 def test_one_station_region_members():
     region = full_region(one_station_cm(), one_station_cfg(), 0)
-    members = {tuple(map(tuple, m)) for m in region.members}
+    members = {tuple(map(tuple, m)) for m in region}
     assert members == {((0, 0),), ((2, 0),), ((0, 1),)}
     # the zero matrix is member 0
-    assert np.all(region.members[0] == 0)
+    assert np.all(region[0] == 0)
 
 
 def test_zero_rate_user_is_not_an_option():
@@ -113,7 +113,7 @@ def test_explicit_region_passthrough():
         explicit_regions=(members,),
     )
     region = full_region(cm, cfg, 0)
-    assert len(region) == 1 and np.all(region.members == 0)
+    assert len(region) == 1 and np.all(region == 0)
 
 
 def test_reference_all_bad_region_size():
@@ -129,7 +129,7 @@ def test_region_size_matches_degree_product_on_every_state():
         region = full_region(cm, cfg, h)
         rates = cm.rates_for(h)
         assert len(region) == count_one_user_region(cfg, rates)
-        members = {tuple(map(tuple, m)) for m in region.members}
+        members = {tuple(map(tuple, m)) for m in region}
         assert members == enumerate_one_user_region(cfg, rates)
 
 
@@ -137,7 +137,7 @@ def test_region_members_within_caps():
     cfg, cm = reference_scenario()
     mask = cfg.adjacency_mask()
     for h in range(cm.n_states):
-        members = full_region(cm, cfg, h).members
+        members = full_region(cm, cfg, h)
         assert np.all(members >= 0) and np.all(members <= cfg.max_rate)
         assert np.all(members[:, ~mask] == 0)
 
@@ -150,13 +150,13 @@ def test_region_members_within_caps():
 def test_restriction_to_all_off_is_zero_only():
     region = full_region(one_station_cm(), one_station_cfg(), 0)
     restricted = restricted_region(region, np.array([0]))
-    assert len(restricted) == 1 and np.all(restricted.members == 0)
+    assert len(restricted) == 1 and np.all(restricted == 0)
 
 
 def test_restriction_identity_under_all_on():
     region = full_region(one_station_cm(), one_station_cfg(), 0)
     restricted = restricted_region(region, np.array([1]))
-    assert np.array_equal(restricted.members, region.members)
+    assert np.array_equal(restricted, region)
 
 
 def test_restriction_masks_rows():
@@ -173,7 +173,7 @@ def test_restriction_masks_rows():
     )
     region = full_region(cm, cfg, 0)
     restricted = restricted_region(region, np.array([1, 0]))
-    members = {tuple(map(tuple, m)) for m in restricted.members}
+    members = {tuple(map(tuple, m)) for m in restricted}
     assert members == {((0, 0), (0, 0)), ((2, 0), (0, 0))}
 
 
@@ -184,7 +184,7 @@ def test_restriction_nested_along_activation_order():
         region = full_region(cm, cfg, h)
         sets = {}
         for j in acts:
-            members = restricted_region(region, j).members
+            members = restricted_region(region, j)
             sets[tuple(j)] = {tuple(map(tuple, m)) for m in members}
         for j in acts:
             for j_small in acts:
@@ -198,7 +198,7 @@ def test_restriction_idempotent_as_a_set():
     j = np.array([1, 0, 1])
     once = restricted_region(region, j)
     twice = restricted_region(once, j)
-    assert np.array_equal(once.members, twice.members)
+    assert np.array_equal(once, twice)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +216,9 @@ def test_region_index_rows_follow_activation_ids():
         row = regions[activation_id(j)]
         assert len(row) == cm.n_states
         for h, region in enumerate(row):
-            expected = restricted_region(full_region(cm, cfg, h), j).members
-            assert np.array_equal(region.members, expected)
-            assert np.array_equal(lp_regions[activation_id(j)][h].members, expected)
+            expected = restricted_region(full_region(cm, cfg, h), j)
+            assert np.array_equal(region, expected)
+            assert np.array_equal(lp_regions[activation_id(j)][h], expected)
 
 
 def test_policies_build_no_region_after_construction(monkeypatch):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bssched.cli import reference_scenario
 from bssched.model import NetworkConfig, activation_id
 from bssched.policies import (
     AlwaysOnMaxWeight,
@@ -12,7 +13,7 @@ from bssched.policies import (
     StaticSplitMaxWeight,
     make_policy,
 )
-from bssched.rateregion import ChannelModel, ChannelState, reference_scenario
+from bssched.rateregion import ChannelModel, ChannelState
 from bssched.sim import (
     ARRIVAL_LAWS,
     RegimeSchedule,
