@@ -26,7 +26,7 @@ import numpy as np
 from .lp import beta_to_alpha, build_lp, expected_offered_rates, perturb_cost, solve_lp
 from .model import NetworkConfig
 from .policies import POLICY_DEFAULTS, PolicyError, make_policy, policy_errors
-from .rateregion import ONE_USER_PER_STATION, ChannelModel, ChannelState
+from .rateregion import EXPLICIT, ONE_USER_PER_STATION, ChannelModel, ChannelState
 from .sim import RegimeSchedule, arrival_errors, run, stability_fraction
 
 EXIT_OK = 0
@@ -189,6 +189,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     cfg = None
     if net is not None:
         rates = net["arrival_rates"]
+        if rates is not None and "arrival_rate" in data["network"]:
+            errors.append("network.arrival_rate: not read when arrival_rates is given")
         if rates is None:
             shape = (max(net["n_stations"], 0), max(net["n_users"], 0))
             rates = np.zeros(shape)
@@ -211,6 +213,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     cm = None
     if chan is not None:
         regions = chan["regions"]
+        if regions is not None and chan["interference"] != EXPLICIT:
+            errors.append("channel.regions: read only under explicit interference")
         try:
             cm = ChannelModel(
                 states=tuple(
@@ -249,6 +253,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         for key in ("horizon", "window"):
             if run_blk[key] < 1:
                 errors.append(f"run.{key}: must be a positive integer")
+        if run_blk["q_bar"] < 0:
+            errors.append("run.q_bar: must be nonnegative")
         seeds = run_blk["seeds"]
         if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
             errors.append("run.seeds: must be a nonempty list of distinct seeds >= 0")

@@ -4,13 +4,15 @@ A channel state fixes the per-link rate matrix available in a slot. The
 feasible region R(j, h) is the finite set of rate matrices the scheduler may
 pick from when the activation vector is j and the channel state is h. With
 every station active the region is R(1, h); switching stations off only
-removes choices: R(j, h) = {r * j : r in R(1, h)} after dropping duplicates,
-so regions are nested along the activation partial order.
+removes choices: R(j, h) = {r * j : r in R(1, h)}, so regions are nested
+along the activation partial order.
 
 Two interference models are supported. "one_user_per_station" builds the
 region combinatorially: each active station either idles or serves exactly
-one adjacent user at that link's current rate. "explicit" takes the region
-member list for every channel state straight from the configuration.
+one adjacent user at that link's current rate, and R(j, h) is the members
+of R(1, h) whose OFF stations already idle. "explicit" takes each state's
+member list straight from the configuration; its R(j, h) masks the members
+and drops repeats.
 """
 
 from __future__ import annotations
@@ -95,18 +97,6 @@ class ChannelModel:
         return errors
 
 
-def _dedupe_members(stacked: np.ndarray) -> np.ndarray:
-    """Drop duplicate matrices, keeping first occurrence order."""
-    seen: dict[bytes, None] = {}
-    keep = []
-    for i in range(stacked.shape[0]):
-        key = stacked[i].tobytes()
-        if key not in seen:
-            seen[key] = None
-            keep.append(i)
-    return stacked[keep]
-
-
 def full_region(cm: ChannelModel, cfg: NetworkConfig, h_index: int) -> np.ndarray:
     """R(1, h): every feasible rate matrix with all stations active, (K, M, n).
 
@@ -132,23 +122,33 @@ def full_region(cm: ChannelModel, cfg: NetworkConfig, h_index: int) -> np.ndarra
 
 
 def restricted_region(region: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """R(j, h) from R(1, h): zero the OFF rows and drop duplicates.
+    """R(j, h) from a one-user-per-station R(1, h): its members whose OFF
+    stations idle. Each r * j is the first member in ``full_region``'s order
+    to mask to r * j, so this equals mask-and-dedupe, in the same order."""
+    off = np.asarray(j) == 0
+    return region[~region[:, off].any(axis=(1, 2))]
 
-    Restricting is idempotent and monotone: a smaller activation vector can
-    only shrink the region, and the zero matrix always survives.
-    """
-    j = np.asarray(j).reshape(1, -1, 1)
-    return _dedupe_members(region * j)
+
+def _restricted_explicit(region: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """R(j, h) from an explicit R(1, h): zero the OFF rows and drop repeats,
+    keeping each matrix's first occurrence in file order."""
+    masked = region * np.asarray(j).reshape(1, -1, 1)
+    first: dict[bytes, int] = {}
+    for i, member in enumerate(masked):
+        first.setdefault(member.tobytes(), i)
+    return masked[list(first.values())]
 
 
 def region_index(cfg: NetworkConfig, cm: ChannelModel) -> list[list[np.ndarray]]:
     """Every region R(j, h) of a scenario, indexed [j_index][h_index].
 
     Rows follow ``enumerate_activations`` order, so ``activation_id(j)``
-    selects the row of j. Each R(1, h) is built once and restricted per j.
+    selects the row of j. Each R(1, h) is built once and restricted per j
+    by the rule of the scenario's interference model.
     """
+    restrict = _restricted_explicit if cm.interference == EXPLICIT else restricted_region
     full = [full_region(cm, cfg, h) for h in range(cm.n_states)]
     return [
-        [restricted_region(region, j) for region in full]
+        [restrict(region, j) for region in full]
         for j in enumerate_activations(cfg.n_stations)
     ]

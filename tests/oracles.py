@@ -315,3 +315,17 @@ def enumerate_one_user_region(cfg, rates):
 
     recurse(0, [])
     return out
+
+
+def mask_and_dedupe(region, j):
+    """R(j, h) by the literal rule: zero the OFF rows of every member, then
+    drop repeated matrices, keeping first occurrences in order."""
+    masked = region * np.asarray(j).reshape(1, -1, 1)
+    seen: dict[bytes, None] = {}
+    keep = []
+    for i in range(masked.shape[0]):
+        key = masked[i].tobytes()
+        if key not in seen:
+            seen[key] = None
+            keep.append(i)
+    return masked[keep]

@@ -131,6 +131,15 @@ def _set(*path_and_value):
     return edit
 
 
+def _both_arrival_keys(data):
+    """Give the matrix beside the uniform rate, at a value that differs."""
+    net = data["network"]
+    rates = [[0.0] * net["n_users"] for _ in range(net["n_stations"])]
+    for m, u in net["adjacency"]:
+        rates[m][u] = 0.2
+    net["arrival_rates"] = rates
+
+
 MALFORMED = {
     "nan_pmf": (_set("channel", "pmf", [float("nan"), 0.5, 0.25, 0.25]), "pmf"),
     "nan_arrival_rate": (_set("network", "arrival_rate", float("nan")), "arrival_rate"),
@@ -154,6 +163,9 @@ MALFORMED = {
     "numeric_state_name": (_set("channel", "states", 0, "name", 3), "states[0].name"),
     "misspelt_network_key": (_set("network", "max_arivals", 1), "max_arivals"),
     "dropped_drift_window": (_set("run", "drift_window", 100), "drift_window"),
+    "regions_without_explicit": (_set("channel", "regions", [[[[9]]]]), "channel.regions"),
+    "arrival_rate_beside_matrix": (_both_arrival_keys, "network.arrival_rate:"),
+    "negative_q_bar": (_set("run", "q_bar", -1.0), "run.q_bar"),
 }
 
 
@@ -168,6 +180,21 @@ def test_validate_rejects_malformed_input(case, tmp_path, capsys, reference_conf
     out = capsys.readouterr().out
     assert "INVALID: 1 problem(s)" in out
     assert key in out
+
+
+def test_validate_accepts_zero_q_bar(tmp_path, capsys, reference_config):
+    edited = copy.deepcopy(reference_config)
+    edited["run"]["q_bar"] = 0
+    path = write_config(tmp_path, edited)
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+
+def test_arrival_rates_matrix_alone_is_read(reference_config):
+    edited = copy.deepcopy(reference_config)
+    _both_arrival_keys(edited)
+    del edited["network"]["arrival_rate"]
+    cfg = parse_scenario(edited).cfg
+    assert np.array_equal(cfg.arrival_rates, np.where(cfg.adjacency_mask(), 0.2, 0.0))
 
 
 def test_validate_collects_problems_across_blocks(tmp_path, capsys, reference_config):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bssched.rateregion as rateregion_module
 from bssched import (
@@ -19,7 +21,7 @@ from bssched import (
 )
 from bssched.cli import reference_scenario
 
-from oracles import count_one_user_region, enumerate_one_user_region
+from oracles import count_one_user_region, enumerate_one_user_region, mask_and_dedupe
 
 
 def one_station_cfg():
@@ -199,6 +201,71 @@ def test_restriction_idempotent_as_a_set():
     once = restricted_region(region, j)
     twice = restricted_region(once, j)
     assert np.array_equal(once, twice)
+
+
+@st.composite
+def one_user_scenarios(draw):
+    """A random one-user-per-station network and one channel state: 1-4
+    stations, 1-4 users that stations may share, link rates in {0, 1, 2}."""
+    n_stations = draw(st.integers(1, 4))
+    n_users = draw(st.integers(1, 4))
+    pairs = [(m, u) for m in range(n_stations) for u in range(n_users)]
+    adjacency = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    rates = np.zeros((n_stations, n_users), dtype=np.int64)
+    for m, u in adjacency:
+        rates[m, u] = draw(st.integers(0, 2))
+    cfg = NetworkConfig(
+        n_users=n_users,
+        n_stations=n_stations,
+        adjacency=adjacency,
+        arrival_rates=np.zeros((n_stations, n_users)),
+        max_rate=2,
+    )
+    cm = ChannelModel(states=(ChannelState(name="h0", rates=rates),), pmf=np.array([1.0]))
+    return cfg, cm
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=one_user_scenarios())
+def test_restriction_equals_mask_and_dedupe(scenario):
+    """Selecting the members whose OFF stations idle gives the masked and
+    deduplicated region, member for member, for every activation."""
+    cfg, cm = scenario
+    region = full_region(cm, cfg, 0)
+    for j in enumerate_activations(cfg.n_stations):
+        selected = restricted_region(region, j)
+        expected = mask_and_dedupe(region, j)
+        assert selected.dtype == expected.dtype == np.int64
+        assert np.array_equal(selected, expected)
+
+
+def test_explicit_restriction_keeps_first_occurrences_in_file_order():
+    cfg = NetworkConfig(
+        n_users=1,
+        n_stations=2,
+        adjacency=((0, 0), (1, 0)),
+        arrival_rates=np.zeros((2, 1)),
+        max_rate=2,
+    )
+    members = np.array([[[0], [0]], [[2], [1]], [[1], [0]], [[2], [0]]])
+    cm = ChannelModel(
+        states=(ChannelState(name="h0", rates=np.array([[2], [1]])),),
+        pmf=np.array([1.0]),
+        interference="explicit",
+        explicit_regions=(members,),
+    )
+    region = region_index(cfg, cm)[activation_id(np.array([1, 0]))][0]
+    assert region.dtype == np.int64
+    assert region.tolist() == [[[0], [0]], [[2], [0]], [[1], [0]]]
+
+
+def test_one_user_region_index_never_dedupes(monkeypatch):
+    def refuse(region, j):
+        raise AssertionError("explicit restriction on a one-user-per-station region")
+
+    monkeypatch.setattr(rateregion_module, "_restricted_explicit", refuse)
+    cfg, cm = reference_scenario()
+    assert len(region_index(cfg, cm)) == 2**cfg.n_stations
 
 
 # ---------------------------------------------------------------------------
