@@ -18,11 +18,12 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .lp import beta_to_alpha, build_lp, expected_offered_rates, perturb_cost, solve_lp
 from .model import NetworkConfig
 from .policies import POLICY_DEFAULTS, PolicyError, make_policy, policy_errors
@@ -173,6 +174,14 @@ def _check(spec, value, where: str, errors: list[str]):
     return out if len(errors) == n_errors else None
 
 
+def _array(value, key: str, dtype=None) -> np.ndarray:
+    """``value`` as an array; a ragged one raises a ValueError naming ``key``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except ValueError:
+        raise ValueError(f"{key} must be rectangular, all rows of one length") from None
+
+
 def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from parsed JSON, collecting every problem found.
 
@@ -202,7 +211,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
                 n_users=net["n_users"],
                 n_stations=net["n_stations"],
                 adjacency=net["adjacency"],
-                arrival_rates=np.asarray(rates, dtype=float),
+                arrival_rates=_array(rates, "arrival_rates", float),
                 max_arrivals=net["max_arrivals"],
                 max_rate=net["max_rate"],
                 **{f"{key}_cost": cost for key, cost in net["costs"].items()},
@@ -218,12 +227,17 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         try:
             cm = ChannelModel(
                 states=tuple(
-                    ChannelState(st["name"] or f"state_{i}", np.asarray(st["rates"]))
+                    ChannelState(
+                        st["name"] or f"state_{i}",
+                        _array(st["rates"], f"states[{i}].rates"),
+                    )
                     for i, st in enumerate(chan["states"])
                 ),
                 pmf=np.asarray(chan["pmf"], dtype=float),
                 interference=chan["interference"],
-                explicit_regions=regions and tuple(map(np.asarray, regions)),
+                explicit_regions=regions and tuple(
+                    _array(r, f"regions[{h}]") for h, r in enumerate(regions)
+                ),
             )
         except ValueError as exc:
             errors.append(f"channel: {exc}")
@@ -231,17 +245,15 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         errors.extend(f"channel: {err}" for err in cm.validate_against(cfg))
 
     regime = None
-    if arrivals is not None and arrivals["regimes"] is not None:
-        try:
-            regime = RegimeSchedule(changes=arrivals["regimes"])
-        except ValueError as exc:
-            errors.append(f"arrivals: bad regimes: {exc}")
     if arrivals is not None:
-        sched = regime or RegimeSchedule(changes=())
-        scales = [sched.scale_at(1)] + [x for _, x in sched.changes]
-        problems = [e for x in scales for e in arrival_errors(cfg, arrivals["law"], x)]
+        if arrivals["regimes"] is not None:
+            try:
+                regime = RegimeSchedule(changes=arrivals["regimes"])
+            except ValueError as exc:
+                errors.append(f"arrivals: bad regimes: {exc}")
         where = "arrivals.regimes" if regime is not None else "arrivals"
-        errors.extend(f"{where}: {err}" for err in dict.fromkeys(problems))
+        problems = arrival_errors(cfg, arrivals["law"], regime)
+        errors.extend(f"{where}: {err}" for err in problems)
     if regime is not None and run_blk is not None:
         if any(s > run_blk["horizon"] for s in regime.boundaries()):
             errors.append("arrivals: regime change beyond the run horizon")
@@ -297,13 +309,6 @@ def reference_scenario() -> tuple[NetworkConfig, ChannelModel]:
     return scenario.cfg, scenario.cm
 
 
-def _package_version() -> str:
-    try:
-        return metadata.version("bssched")
-    except metadata.PackageNotFoundError:  # pragma: no cover
-        return "unknown"
-
-
 def _write_csv(path: Path, trace, window: int) -> None:
     avg = trace.running_avg_cost()
     windowed = trace.windowed_cost(window)
@@ -326,13 +331,12 @@ def _write_csv(path: Path, trace, window: int) -> None:
             )
 
 
-def _run_one_seed(raw_config: dict, name: str, seed: int, horizon: int, out_dir: str):
+def _run_one_seed(scenario: Scenario, seed: int, horizon: int, out_dir: str):
     """Worker for one (scenario, seed) run; safe to call in a subprocess.
 
     Returns the seed, its summary, and the ``lp`` block of the policy's
     own planning solution (None when the policy holds none).
     """
-    scenario = parse_scenario(raw_config, name=name)
     rng = np.random.default_rng(seed)
     policy = make_policy(
         scenario.policy_name, scenario.cfg, scenario.cm, rng, scenario.policy_params
@@ -470,12 +474,11 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    raw = scenario.raw
     config_hash = hashlib.sha256(
-        json.dumps(raw, sort_keys=True).encode()
+        json.dumps(scenario.raw, sort_keys=True).encode()
     ).hexdigest()
 
-    seed_args = [(raw, scenario.name, s, horizon, str(out_dir)) for s in seeds]
+    seed_args = [(scenario, s, horizon, str(out_dir)) for s in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_one_seed, *zip(*seed_args)))
@@ -512,10 +515,10 @@ def cmd_run(args) -> int:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     manifest = {
-        "package_version": _package_version(),
+        "package_version": __version__,
         "scenario_file": str(Path(args.config).resolve()),
         "config_sha256": config_hash,
-        "config": raw,
+        "config": scenario.raw,
         "seeds": list(seeds),
         "horizon": horizon,
         "jobs": args.jobs,

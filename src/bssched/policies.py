@@ -47,10 +47,12 @@ POLICY_DEFAULTS = {
 
 
 def policy_errors(params: dict) -> list[str]:
-    """Every problem with a policy's name (if given) and parameter values."""
-    errors = []
+    """Every problem with a policy's name (if given), parameter keys and values."""
+    known = {*POLICY_DEFAULTS, "name"}
+    errors = [f"unknown key {k!r}" for k in params if k not in known]
     if "name" in params and params["name"] not in POLICY_NAMES:
-        errors.append(f"name must be one of {POLICY_NAMES}")
+        name = params["name"]
+        errors.append(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     for key in ("eps_s", "learning_floor"):
         if key in params and not 0 <= params[key] <= 1:
             errors.append(f"{key} must lie in [0, 1]")
@@ -106,8 +108,10 @@ class Policy:
         cm: ChannelModel,
         eps_s: float = 0.0,
         min_switch_gap: int = 0,
+        **params,
     ):
-        errors = policy_errors({"eps_s": eps_s, "min_switch_gap": min_switch_gap})
+        """``params`` are the subclass's other parameters, checked with these."""
+        errors = policy_errors(dict(params, eps_s=eps_s, min_switch_gap=min_switch_gap))
         if errors:
             raise PolicyError("; ".join(errors))
         self.cfg = cfg
@@ -192,7 +196,7 @@ class StaticSplitMaxWeight(Policy):
     name = "static_split_mw"
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
-        super().__init__(cfg, cm, eps_s, min_switch_gap)
+        super().__init__(cfg, cm, eps_s, min_switch_gap, eps_g=eps_g)
         self.eps_g = float(eps_g)
         self.problem = build_lp(cfg, cm, eps_g=eps_g)
         self.regions = self.problem.regions
@@ -274,7 +278,8 @@ class LearningMaxWeight(Policy):
         update_arrivals_every_slot: bool = False,
         min_switch_gap: int = 0,
     ):
-        super().__init__(cfg, cm, eps_s, min_switch_gap)
+        checked = {"eps_p": eps_p, "eps_g": eps_g, "learning_floor": learning_floor}
+        super().__init__(cfg, cm, eps_s, min_switch_gap, **checked)
         self.eps_p = float(eps_p)
         self.eps_g = float(eps_g)
         self.tracking = bool(tracking)
@@ -385,29 +390,15 @@ def make_policy(
     policies that randomize their construction (the learning policies draw
     their cost perturbation direction).
     """
+    errors = policy_errors({**(params or {}), "name": name})
+    if errors:
+        raise PolicyError("; ".join(errors))
     p = {**POLICY_DEFAULTS, **(params or {})}
     if name == "always_on":
         return AlwaysOnMaxWeight(cfg, cm)
-    if name in ("static_split_mw", "static_split_static"):
-        cls = StaticSplitMaxWeight if name == "static_split_mw" else StaticSplitStatic
-        return cls(
-            cfg,
-            cm,
-            eps_s=p["eps_s"],
-            eps_g=p["eps_g"],
-            min_switch_gap=p["min_switch_gap"],
-        )
     if name in ("algorithm1", "algorithm1_tracking"):
-        return LearningMaxWeight(
-            cfg,
-            cm,
-            eps_s=p["eps_s"],
-            eps_p=p["eps_p"],
-            eps_g=p["eps_g"],
-            rng=rng,
-            tracking=(name == "algorithm1_tracking"),
-            learning_floor=p["learning_floor"],
-            update_arrivals_every_slot=p["update_arrivals_every_slot"],
-            min_switch_gap=p["min_switch_gap"],
-        )
-    raise PolicyError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+        tracking = name == "algorithm1_tracking"
+        return LearningMaxWeight(cfg, cm, rng=rng, tracking=tracking, **p)
+    shared = {key: p[key] for key in ("eps_s", "eps_g", "min_switch_gap")}
+    cls = StaticSplitMaxWeight if name == "static_split_mw" else StaticSplitStatic
+    return cls(cfg, cm, **shared)

@@ -6,7 +6,7 @@ observed channel state, transmissions depart (capped by queue content),
 and the slot's arrivals join the queues. The queue recorded for slot t is
 the pre-arrival queue the policy weighted, so
 Q(t+1) = Q(t) - departures + A(t). The cost of every (previous, current)
-pair of activation ids is tabulated once per run.
+pair of activation ids is tabulated once per run and read after the loop.
 
 All randomness comes from a single generator with a fixed draw order per
 slot: the arrival matrix first, then one uniform for the channel state,
@@ -130,21 +130,27 @@ def draw_channel_index(cum_pmf: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, cum_pmf.shape[0] - 1)
 
 
-def arrival_errors(
-    cfg: NetworkConfig | None, arrival_law: str, scale: float
-) -> list[str]:
-    """Problems drawing ``arrival_law`` arrivals at ``scale`` times the base rates.
+def _scales(regime: RegimeSchedule | None) -> dict[int, float]:
+    """{start slot: scale} for every scale ``regime`` applies, slot 1 first."""
+    return dict(((1, 1.0), *(regime.changes if regime is not None else ())))
 
-    Without a ``cfg`` (the network block is invalid) only the law is checked.
-    """
+
+def arrival_errors(
+    cfg: NetworkConfig | None, arrival_law: str, regime: RegimeSchedule | None
+) -> list[str]:
+    """Problems drawing ``arrival_law`` arrivals at each distinct scale ``regime``
+    applies, slot 1's first; without a ``cfg`` only the law is checked."""
     if arrival_law not in ARRIVAL_LAWS:
         return [f"arrival_law must be one of {ARRIVAL_LAWS}"]
     if cfg is None:
         return []
     limit = 1 if arrival_law == "bernoulli" else cfg.max_arrivals
-    if np.any(np.asarray(cfg.arrival_rates, dtype=float) * scale > limit):
-        return [f"{arrival_law} arrivals need rate <= {limit}; got scale {scale}"]
-    return []
+    rates = np.asarray(cfg.arrival_rates, dtype=float)
+    return [
+        f"{arrival_law} arrivals need rate <= {limit}; got scale {scale}"
+        for scale in dict.fromkeys(_scales(regime).values())
+        if np.any(rates * scale > limit)
+    ]
 
 
 def run(
@@ -167,6 +173,7 @@ def run(
     by default) and ``q0`` the initial queue matrix (empty by default).
     Pass either a seed or an existing generator; a shared generator lets
     the caller make policy-construction draws part of the same stream.
+    Every input, each regime scale included, is checked before slot 1.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -180,12 +187,16 @@ def run(
     j0 = all_on(cfg.n_stations) if j0 is None else np.asarray(j0)
     if j0.shape != (cfg.n_stations,) or not np.isin(j0, (0, 1)).all():
         raise ValueError("j0 must be a 0/1 vector of length M")
-    j_prev = activation_id(j0)
-    policy.reset(j_prev)
+    errors = arrival_errors(cfg, arrival_law, regime)
+    if errors:
+        raise ValueError(errors[0])
+    j0_id = activation_id(j0)
+    policy.reset(j0_id)
     acts = enumerate_activations(cfg.n_stations)
-    cost = [[network_cost(a, b, cfg) for b in acts] for a in acts]
+    cost = np.array([[network_cost(a, b, cfg) for b in acts] for a in acts])
 
     base_rates = np.asarray(cfg.arrival_rates, dtype=float)
+    rates_from = {start: base_rates * scale for start, scale in _scales(regime).items()}
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float))
     true_mu = np.asarray(cm.pmf, dtype=float)
 
@@ -194,7 +205,7 @@ def run(
         horizon=horizon,
         total_queue=np.zeros(horizon, dtype=np.int64),
         v_quad=np.zeros(horizon, dtype=np.int64),
-        cost=np.zeros(horizon),
+        cost=np.zeros(horizon),  # priced from j_bits after the loop
         served=np.zeros(horizon, dtype=np.int64),
         j_bits=np.zeros(horizon, dtype=np.int64),
         explore=np.zeros(horizon, dtype=bool),
@@ -203,17 +214,9 @@ def run(
         final_queues=q,
     )
 
-    scale = None
-    rates_now = base_rates
     for t in range(1, horizon + 1):
-        new_scale = regime.scale_at(t) if regime is not None else 1.0
-        if new_scale != scale:
-            scale = new_scale
-            rates_now = base_rates * scale
-            errors = arrival_errors(cfg, arrival_law, scale)
-            if errors:
-                raise ValueError(errors[0])
-
+        if t in rates_from:
+            rates_now = rates_from[t]
         if arrival_law == "bernoulli":
             a = (rng.random(shape) < rates_now).astype(np.int64)
         else:
@@ -225,7 +228,6 @@ def run(
         i = t - 1
         trace.total_queue[i] = q.sum()
         trace.v_quad[i] = int((q * q).sum())
-        trace.cost[i] = cost[j_prev][j]
         trace.j_bits[i] = j
         trace.explore[i] = explore
         if policy.mu_hat is not None:
@@ -235,8 +237,8 @@ def run(
 
         q, departures = step_queues(q, s, a)
         trace.served[i] = int(departures.sum())
-        j_prev = j
 
+    trace.cost = cost[np.concatenate(([j0_id], trace.j_bits[:-1])), trace.j_bits]
     trace.final_queues = q
     return trace
 

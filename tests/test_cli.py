@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bssched
 import bssched.cli as cli_module
 import bssched.policies as policies_module
 from bssched.cli import (
@@ -140,6 +141,16 @@ def _both_arrival_keys(data):
     net["arrival_rates"] = rates
 
 
+def _arrival_rates(rates):
+    """Edit that gives ``rates`` as the only arrival key."""
+
+    def edit(data):
+        del data["network"]["arrival_rate"]
+        data["network"]["arrival_rates"] = rates
+
+    return edit
+
+
 MALFORMED = {
     "nan_pmf": (_set("channel", "pmf", [float("nan"), 0.5, 0.25, 0.25]), "pmf"),
     "nan_arrival_rate": (_set("network", "arrival_rate", float("nan")), "arrival_rate"),
@@ -166,6 +177,26 @@ MALFORMED = {
     "regions_without_explicit": (_set("channel", "regions", [[[[9]]]]), "channel.regions"),
     "arrival_rate_beside_matrix": (_both_arrival_keys, "network.arrival_rate:"),
     "negative_q_bar": (_set("run", "q_bar", -1.0), "run.q_bar"),
+    "adjacency_triple": (_set("network", "adjacency", 0, [0, 0, 1]), "adjacency[0]"),
+    "zero_max_arrivals": (_set("network", "max_arrivals", 0), "max_arrivals must be"),
+    "zero_max_rate": (_set("network", "max_rate", 0), "max_rate must be"),
+    "arrival_rates_shape": (_arrival_rates([[0.1] * 5] * 2), "arrival_rates shape"),
+    "ragged_arrival_rates": (
+        _arrival_rates([[0.1] * 5, [0.1] * 4, [0.1] * 5]),
+        "network: arrival_rates must be rectangular",
+    ),
+    "decreasing_regimes": (
+        _set("arrivals", "regimes", [[20, 0.5], [10, 2.0]]),
+        "strictly increasing",
+    ),
+    "short_pmf": (_set("channel", "pmf", [0.5, 0.5]), "pmf length"),
+    "unknown_interference": (_set("channel", "interference", "sinr"), "'sinr'"),
+    "state_rates_shape": (_set("channel", "states", 1, "rates", [[1]]), "rates shape"),
+    "ragged_state_rates": (
+        _set("channel", "states", 2, "rates", [[1, 1], [1]]),
+        "channel: states[2].rates must be rectangular",
+    ),
+    "unknown_policy_name": (_set("policy", "name", "round_robin"), "unknown policy"),
 }
 
 
@@ -231,6 +262,52 @@ def test_run_rejects_unreachable_regime_scale_before_writing(
     assert code == EXIT_INVALID_CONFIG
     assert "config error: arrivals.regimes" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def _explicit_scenario(regions):
+    """One station, users 0 and 1, only link (0, 0), rates up to 1."""
+    return {
+        "network": {
+            "n_users": 2, "n_stations": 1, "adjacency": [[0, 0]], "arrival_rate": 0.3
+        },
+        "channel": {
+            "interference": "explicit",
+            "states": [{"rates": [[1, 0]]}],
+            "pmf": [1.0],
+            "regions": [regions],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "regions, problem",
+    [
+        ([[[0, 0]], [[1, 0]]], None),
+        ([[[0, 0, 0]], [[1, 0, 0]]], "state 0: region members have wrong shape"),
+        ([[[1, 0]]], "state 0: region must contain the zero matrix"),
+        ([[[0, 0]], [[2, 0]]], "state 0: region rates outside [0, max_rate]"),
+        ([[[0, 0]], [[0, 1]]], "state 0: region rate off the adjacency"),
+        ([[[0, 0]], [[1, 0], [0, 0]]], "regions[0] must be rectangular"),
+    ],
+)
+def test_validate_checks_explicit_regions(regions, problem, tmp_path, capsys):
+    path = write_config(tmp_path, _explicit_scenario(regions))
+    code = main(["validate", "--config", str(path)])
+    out = capsys.readouterr().out
+    if problem is None:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_INVALID_CONFIG
+    assert "INVALID: 1 problem(s)" in out
+    assert f"channel: {problem}" in out
+
+
+def test_validate_rejects_a_top_level_that_is_not_an_object(tmp_path, capsys):
+    path = write_config(tmp_path, [1, 2])
+    assert main(["validate", "--config", str(path)]) == EXIT_INVALID_CONFIG
+    out = capsys.readouterr().out
+    assert "INVALID: 1 problem(s)" in out
+    assert "top level must be a JSON object" in out
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -571,8 +648,7 @@ def test_run_writes_csv_summary_manifest(tmp_path, reference_config):
     assert manifest["seeds"] == [1, 2]
     assert manifest["horizon"] == 100
     assert manifest["outputs"] == ["reference_seed1.csv", "reference_seed2.csv"]
-    assert isinstance(manifest["package_version"], str)
-    assert manifest["package_version"]
+    assert manifest["package_version"] == bssched.__version__
 
 
 def test_run_reports_nan_estimates_as_null(tmp_path, reference_config):
@@ -615,6 +691,22 @@ def test_run_parallel_matches_serial(tmp_path, reference_config):
         assert code == EXIT_OK
     for name in ("reference_seed4.csv", "reference_seed5.csv", "summary.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+def test_run_parses_the_scenario_once(tmp_path, monkeypatch):
+    """The seeds run from the parent's parsed Scenario, not from its JSON."""
+    parse = cli_module.parse_scenario
+    calls = []
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "parse_scenario", counting_parse)
+    config = str(bundled_scenario_path("reference"))
+    args = ["--horizon", "20", "--seeds", "0,1,2"]
+    assert main(["run", "--config", config, "--out", str(tmp_path), *args]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_run_overloaded_scenario_exits_3(tmp_path, capsys, reference_config):

@@ -620,3 +620,41 @@ def test_make_policy_rejects_unknown_name(reference):
     cfg, cm = reference
     with pytest.raises(PolicyError, match="unknown policy"):
         make_policy("round_robin", cfg, cm, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "name, params, problem",
+    [
+        ("static_split_mw", {"eps_ss": 0.5}, "unknown key 'eps_ss'"),
+        ("static_split_mw", {"eps_g": -1.0}, "eps_g must be nonnegative"),
+        ("algorithm1_tracking", {"learning_floor": 2.0}, "learning_floor must lie in"),
+        ("always_on", {"eps_s": 5.0}, "eps_s must lie in"),
+        ("round_robin", {"eps_p": -0.5}, "unknown policy 'round_robin'"),
+    ],
+)
+def test_make_policy_checks_every_parameter_before_building(
+    reference, monkeypatch, name, params, problem
+):
+    cfg, cm = reference
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built an LP for a rejected policy")
+
+    monkeypatch.setattr(policies_module, "build_lp", no_build)
+    with pytest.raises(PolicyError, match=problem) as caught:
+        make_policy(name, cfg, cm, np.random.default_rng(0), params)
+    if name == "round_robin":
+        assert "eps_p must be nonnegative" in str(caught.value)
+
+
+def test_constructors_check_every_parameter_they_take(reference):
+    cfg, cm = reference
+    rng = np.random.default_rng(0)
+    with pytest.raises(PolicyError, match="eps_g must be nonnegative"):
+        StaticSplitMaxWeight(cfg, cm, eps_s=0.05, eps_g=-1.0)
+    with pytest.raises(PolicyError, match="eps_g must be nonnegative"):
+        StaticSplitStatic(cfg, cm, eps_s=0.05, eps_g=float("nan"))
+    learning = {"eps_s": 0.05, "eps_p": 0.01, "eps_g": 0.05, "rng": rng}
+    for key, value in (("eps_p", -1e-3), ("eps_g", -1.0), ("learning_floor", 1.5)):
+        with pytest.raises(PolicyError, match=key):
+            LearningMaxWeight(cfg, cm, **{**learning, key: value})

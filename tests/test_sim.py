@@ -17,6 +17,7 @@ from bssched.rateregion import ChannelModel, ChannelState
 from bssched.sim import (
     ARRIVAL_LAWS,
     RegimeSchedule,
+    arrival_errors,
     drift_diagnostic,
     run,
     stability_fraction,
@@ -216,10 +217,32 @@ def test_binomial_arrival_rate_empirical(reference):
 
 
 def test_bernoulli_rejects_scaled_rate_above_one(reference):
+    """A scale from slot 10 on is rejected before slot 1 is simulated."""
     cfg, cm = reference
     regime = RegimeSchedule(changes=((10, 11.0),))
-    with pytest.raises(ValueError, match="bernoulli"):
-        run(cfg, cm, AlwaysOnMaxWeight(cfg, cm), horizon=20, seed=0, regime=regime)
+    policy = AlwaysOnMaxWeight(cfg, cm)
+    step, steps = policy.step, []
+    policy.step = lambda *args: steps.append(args[0]) or step(*args)
+    with pytest.raises(ValueError, match="bernoulli .* rate <= 1; got scale 11.0"):
+        run(cfg, cm, policy, horizon=20, seed=0, regime=regime)
+    assert steps == []
+
+
+def test_arrival_errors_list_each_scale_the_schedule_applies(reference):
+    cfg, _ = reference
+    assert arrival_errors(cfg, "bernoulli", None) == []
+    regime = RegimeSchedule(changes=((5, 20.0), (9, 1.0), (12, 20.0), (15, 30.0)))
+    assert arrival_errors(cfg, "bernoulli", regime) == [
+        "bernoulli arrivals need rate <= 1; got scale 20.0",
+        "bernoulli arrivals need rate <= 1; got scale 30.0",
+    ]
+    first = RegimeSchedule(changes=((1, 15.0), (9, 1.0)))
+    assert arrival_errors(cfg, "binomial", first) == [
+        "binomial arrivals need rate <= 1; got scale 15.0"
+    ]
+    assert arrival_errors(None, "poisson", regime) == [
+        "arrival_law must be one of ('bernoulli', 'binomial')"
+    ]
 
 
 # ---------------------------------------------------------------------------
