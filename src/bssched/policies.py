@@ -393,7 +393,7 @@ def make_policy(
     errors = policy_errors({**(params or {}), "name": name})
     if errors:
         raise PolicyError("; ".join(errors))
-    p = {**POLICY_DEFAULTS, **(params or {})}
+    p = {key: (params or {}).get(key, value) for key, value in POLICY_DEFAULTS.items()}
     if name == "always_on":
         return AlwaysOnMaxWeight(cfg, cm)
     if name in ("algorithm1", "algorithm1_tracking"):

@@ -319,8 +319,10 @@ def test_make_policy_forwards_min_switch_gap(reference):
     cfg, cm = reference
     rng = np.random.default_rng(0)
     for name in ("static_split_mw", "static_split_static", "algorithm1"):
-        policy = make_policy(name, cfg, cm, rng, params={"min_switch_gap": 5})
+        params = {"name": "always_on", "min_switch_gap": 5}
+        policy = make_policy(name, cfg, cm, rng, params=params)
         assert policy.min_switch_gap == 5
+        assert policy.name == name
 
 
 # ---------------------------------------------------------------------------
