@@ -54,6 +54,7 @@ from .rateregion import (
     full_region,
     region_index,
     restricted_region,
+    station_options,
 )
 from .sim import (
     DriftDiagnostic,
@@ -110,6 +111,7 @@ __all__ = [
     "solve_lp",
     "solve_standard_form",
     "stability_fraction",
+    "station_options",
     "stationary_distribution",
     "step_queues",
     "tau1",

@@ -46,6 +46,7 @@ CSV_COLUMNS = (
     "mu_hat_err",
     "lambda_hat_err",
 )
+CSV_BLOCK = 1024  # rows formatted at a time
 
 
 class ScenarioError(Exception):
@@ -310,25 +311,25 @@ def reference_scenario() -> tuple[NetworkConfig, ChannelModel]:
 
 
 def _write_csv(path: Path, trace, window: int) -> None:
-    avg = trace.running_avg_cost()
-    windowed = trace.windowed_cost(window)
+    """One row per slot, written ``CSV_BLOCK`` rows at a time: each column
+    of a block is converted once with ``tolist()``, the float columns are
+    formatted to 10 significant digits, and the rows go out in one
+    ``writerows``. Blocks keep the formatted text small at any horizon."""
+    ints = (np.arange(1, trace.horizon + 1), trace.total_queue)
+    floats = (trace.cost, trace.running_avg_cost(), trace.windowed_cost(window))
+    flags = (trace.j_bits, trace.explore.astype(np.int64))
+    errors = (trace.mu_err, trace.lambda_err)
+    as_text = "{:.10g}".format
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for i in range(trace.horizon):
-            writer.writerow(
-                [
-                    i + 1,
-                    int(trace.total_queue[i]),
-                    f"{trace.cost[i]:.10g}",
-                    f"{avg[i]:.10g}",
-                    f"{windowed[i]:.10g}",
-                    int(trace.j_bits[i]),
-                    int(trace.explore[i]),
-                    f"{trace.mu_err[i]:.10g}",
-                    f"{trace.lambda_err[i]:.10g}",
-                ]
-            )
+        for lo in range(0, trace.horizon, CSV_BLOCK):
+            rows = slice(lo, lo + CSV_BLOCK)
+            columns = [c[rows].tolist() for c in ints]
+            columns += [list(map(as_text, c[rows].tolist())) for c in floats]
+            columns += [c[rows].tolist() for c in flags]
+            columns += [list(map(as_text, c[rows].tolist())) for c in errors]
+            writer.writerows(zip(*columns))
 
 
 def _run_one_seed(scenario: Scenario, seed: int, horizon: int, out_dir: str):

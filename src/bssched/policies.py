@@ -2,10 +2,19 @@
 
 An activation is an integer id, its row in ``enumerate_activations`` (all
 ON is 2**M - 1). ``reset(j0)`` takes the id before the first slot, and the
-one ``step(t, q, h_index, arrivals, rng)`` returns the slot's id, rate
-matrix and explore flag: each policy picks the activation in
-``_activation``, and ``_serve`` runs Max-Weight on R(j, h) over the
-pre-arrival queues (the engine applies departures before arrivals).
+one ``step(t, q, h_index, arrivals, rng)`` returns the slot's id, service
+and explore flag: each policy picks the activation in ``_activation``, and
+``_serve`` serves the pre-arrival queues (the engine applies departures
+before arrivals). ``q`` is the engine's flat list of queue lengths, one per
+(station, user) pair in row-major order, and a service is a list of
+(link, rate) pairs into it, at most one per serving station.
+
+``max_weight(q, j, h)`` is the Max-Weight rule over R(j, h). Under
+one_user_per_station it splits by station (Tassiulas & Ephremides 1992):
+each ON station serves the first of its ``station_options`` maximizing
+q * r, or idles when that maximum is 0, so no region is enumerated. An
+``explicit`` region has no such split, and the method runs the module's
+``max_weight(q, region)`` over the region's members.
 
 Randomness is consumed from the generator passed into ``step`` in a fixed
 documented order (resample coin, then the optional activation draw, then
@@ -18,12 +27,13 @@ uniform is consumed) for the L - 1 slots after a resample event.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .lp import LpSolution, beta_to_alpha, build_lp, perturb_cost, solve_lp
 from .model import NetworkConfig
-from .rateregion import ChannelModel, full_region
+from .rateregion import EXPLICIT, ChannelModel, full_region, station_options
 from .sim import draw_channel_index
 
 POLICY_NAMES = (
@@ -47,18 +57,33 @@ POLICY_DEFAULTS = {
 
 
 def policy_errors(params: dict) -> list[str]:
-    """Every problem with a policy's name (if given), parameter keys and values."""
+    """Every problem with a policy's name (if given), parameter keys and values.
+
+    Numeric parameters must be finite real numbers (a bool is none),
+    ``min_switch_gap`` a whole one, and ``update_arrivals_every_slot`` a
+    bool.
+    """
     known = {*POLICY_DEFAULTS, "name"}
     errors = [f"unknown key {k!r}" for k in params if k not in known]
     if "name" in params and params["name"] not in POLICY_NAMES:
         name = params["name"]
         errors.append(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-    for key in ("eps_s", "learning_floor"):
-        if key in params and not 0 <= params[key] <= 1:
+    for key, value in params.items():
+        if key not in POLICY_DEFAULTS:
+            continue
+        if key == "update_arrivals_every_slot":
+            if not isinstance(value, (bool, np.bool_)):
+                errors.append(f"{key} must be a boolean")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            errors.append(f"{key} must be a number")
+        elif key in ("eps_s", "learning_floor") and not 0 <= value <= 1:
             errors.append(f"{key} must lie in [0, 1]")
-    for key in ("eps_g", "eps_p", "min_switch_gap"):
-        if key in params and not params[key] >= 0:
+        elif not value >= 0:  # NaN fails too
             errors.append(f"{key} must be nonnegative")
+        elif not math.isfinite(value):
+            errors.append(f"{key} must be finite")
+        elif key == "min_switch_gap" and value != int(value):
+            errors.append(f"{key} must be an integer")
     return errors
 
 
@@ -77,6 +102,13 @@ def max_weight(q: np.ndarray, region: np.ndarray) -> int:
     return int(np.argmax(weights))
 
 
+def _pairs(member: np.ndarray) -> list[tuple[int, int]]:
+    """A rate matrix as the (link, rate) pairs of its nonzero entries."""
+    flat = member.ravel()
+    links = np.flatnonzero(flat)
+    return list(zip(links.tolist(), flat[links].tolist()))
+
+
 def _clean_pmf(v: np.ndarray) -> np.ndarray:
     v = np.maximum(v, 0.0)
     total = v.sum()
@@ -88,8 +120,10 @@ def _clean_pmf(v: np.ndarray) -> np.ndarray:
 class Policy:
     """Common state: the previous activation, the resample coin, estimates.
 
-    ``regions[j][h]`` is R(j, h). ``solution`` is the planning LP solved
-    under the true parameters, for the policies that plan with it.
+    ``regions[j][h]`` is R(j, h), held by the policies that plan with the
+    LP and, under explicit interference, by every policy. ``solution`` is
+    the planning LP solved under the true parameters, for the policies that
+    plan with it.
     ``lp_solves``, ``lp_warm_solves`` and ``lp_pivots`` count the policy's
     own LP solves, those answered from a warm start, and their pivots.
     """
@@ -119,6 +153,14 @@ class Policy:
         self.eps_s = float(eps_s)
         self.min_switch_gap = int(min_switch_gap)
         self._all_on = 2**cfg.n_stations - 1
+        self._options = None  # per state and station, under one_user_per_station
+        if cm.interference != EXPLICIT:
+            self._options = [station_options(cm, cfg, h) for h in range(cm.n_states)]
+            m_max = cfg.n_stations - 1
+            self._on = [
+                [m for m in range(cfg.n_stations) if j >> (m_max - m) & 1]
+                for j in range(self._all_on + 1)
+            ]
         self.reset(self._all_on)
 
     def reset(self, j0: int) -> None:
@@ -152,12 +194,12 @@ class Policy:
     def step(
         self,
         t: int,
-        q: np.ndarray,
+        q: list[int],
         h_index: int,
         arrivals: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[int, np.ndarray, bool]:
-        """(activation id, rate matrix, explore flag) for slot t."""
+    ) -> tuple[int, list[tuple[int, int]], bool]:
+        """(activation id, service, explore flag) for slot t."""
         j, explore = self._activation(t, h_index, arrivals, rng)
         self._j = j
         return j, self._serve(q, j, h_index, rng), explore
@@ -166,10 +208,34 @@ class Policy:
         """(activation id, explore flag) for slot t."""
         raise NotImplementedError
 
-    def _serve(self, q, j, h_index, rng) -> np.ndarray:
-        """Max-Weight over R(j, h_index)."""
-        region = self.regions[j][h_index]
-        return region[max_weight(q, region)]
+    def _serve(self, q, j, h_index, rng) -> list[tuple[int, int]]:
+        """The slot's service: Max-Weight unless the policy draws it."""
+        return self.max_weight(q, j, h_index)
+
+    def max_weight(self, q: list[int], j: int, h_index: int) -> list[tuple[int, int]]:
+        """The first member of R(j, h_index) maximizing the weight q * r,
+        as the (link, rate) pairs it serves.
+
+        Under one_user_per_station R(j, h) is the product of per-station
+        choices, idle first and station 0 slowest, and the weight is a sum
+        over stations, so its first maximizer is each ON station's first
+        maximizing option, or idling when that maximum is 0.
+        """
+        if self._options is None:
+            region = self.regions[j][h_index]
+            queues = np.reshape(np.asarray(q, dtype=np.int64), region.shape[1:])
+            return _pairs(region[max_weight(queues, region)])
+        options = self._options[h_index]
+        service = []
+        for m in self._on[j]:
+            best, weight = None, 0
+            for option in options[m]:
+                w = q[option[0]] * option[1]
+                if w > weight:
+                    best, weight = option, w
+            if best is not None:
+                service.append(best)
+        return service
 
 
 class AlwaysOnMaxWeight(Policy):
@@ -179,8 +245,9 @@ class AlwaysOnMaxWeight(Policy):
 
     def __init__(self, cfg, cm):
         super().__init__(cfg, cm)
-        full = [full_region(cm, cfg, h) for h in range(cm.n_states)]
-        self.regions = {self._all_on: full}
+        if cm.interference == EXPLICIT:
+            full = [full_region(cm, cfg, h) for h in range(cm.n_states)]
+            self.regions = {self._all_on: full}
 
     def _activation(self, t, h_index, arrivals, rng):
         return self._all_on, False
@@ -208,7 +275,7 @@ class StaticSplitMaxWeight(Policy):
             )
         self.solution = solution
         self.sigma_star = _clean_pmf(solution.sigma)
-        self._sigma_cdf = np.cumsum(self.sigma_star)
+        self._sigma_cdf = np.cumsum(self.sigma_star).tolist()
         self.planned_cost = float(solution.objective)
 
     def _activation(self, t, h_index, arrivals, rng):
@@ -229,11 +296,11 @@ class StaticSplitStatic(StaticSplitMaxWeight):
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, eps_g, min_switch_gap)
         alpha = beta_to_alpha(self.problem, self.solution)
-        self._alpha_cdf = {key: np.cumsum(pmf) for key, pmf in alpha.items()}
+        self._alpha_cdf = {key: np.cumsum(pmf).tolist() for key, pmf in alpha.items()}
 
     def _serve(self, q, j, h_index, rng):
         region = self.regions[j][h_index]
-        return region[draw_channel_index(self._alpha_cdf[(j, h_index)], rng)]
+        return _pairs(region[draw_channel_index(self._alpha_cdf[(j, h_index)], rng)])
 
 
 class LearningMaxWeight(Policy):
@@ -302,6 +369,7 @@ class LearningMaxWeight(Policy):
         self._estimate_version = 0
         self._solved_version = -1
         self._sigma_hat: np.ndarray | None = None
+        self._sigma_hat_cdf: list[float] = []
         self._basis: np.ndarray | None = None
         self.lp_solves = self.lp_warm_solves = self.lp_pivots = 0
 
@@ -343,10 +411,11 @@ class LearningMaxWeight(Policy):
             self._sigma_hat = None
             if solution.status == "optimal":
                 self._sigma_hat = _clean_pmf(solution.sigma)
+                self._sigma_hat_cdf = np.cumsum(self._sigma_hat).tolist()
                 self._basis = solution.basis
             self._solved_version = self._estimate_version
         if self._sigma_hat is not None:
-            self._j_tilde = draw_channel_index(np.cumsum(self._sigma_hat), rng)
+            self._j_tilde = draw_channel_index(self._sigma_hat_cdf, rng)
 
     def _update_estimates(self, h_index: int, arrivals: np.ndarray) -> None:
         self.explore_count += 1

@@ -9,8 +9,9 @@ along the activation partial order.
 
 Two interference models are supported. "one_user_per_station" builds the
 region combinatorially: each active station either idles or serves exactly
-one adjacent user at that link's current rate, and R(j, h) is the members
-of R(1, h) whose OFF stations already idle. "explicit" takes each state's
+one adjacent user at that link's current rate (its ``station_options``,
+which the per-station Max-Weight in the policies reads too), and R(j, h) is
+the members of R(1, h) whose OFF stations already idle. "explicit" takes each state's
 member list straight from the configuration; its R(j, h) masks the members
 and drops repeats.
 """
@@ -97,25 +98,40 @@ class ChannelModel:
         return errors
 
 
+def station_options(
+    cm: ChannelModel, cfg: NetworkConfig, h_index: int
+) -> list[list[tuple[int, int]]]:
+    """Per station, what it may serve in state h under one_user_per_station.
+
+    Station m's options are (link, rate) pairs, one per adjacent user with a
+    positive current rate, in ascending user order; a link is the row-major
+    position m * n_users + u of (m, u). Idling is the implicit first option.
+    """
+    rates = cm.rates_for(h_index)
+    mask = cfg.adjacency_mask()
+    return [
+        [(m * cfg.n_users + u, int(rates[m, u])) for u in np.flatnonzero(on).tolist()]
+        for m, on in enumerate(mask & (rates > 0))
+    ]
+
+
 def full_region(cm: ChannelModel, cfg: NetworkConfig, h_index: int) -> np.ndarray:
     """R(1, h): every feasible rate matrix with all stations active, (K, M, n).
 
     For one_user_per_station the members are all combinations of per-station
-    choices, each station idling or serving one adjacent user with a positive
-    current rate, station 0's choice varying slowest; the all-zero matrix is
+    choices from ``station_options``, each station idling or serving one of
+    its options, station 0's choice varying slowest; the all-zero matrix is
     member 0. An explicit region keeps the member order of its configuration.
     """
     if cm.interference == EXPLICIT:
         assert cm.explicit_regions is not None
         return np.asarray(cm.explicit_regions[h_index], dtype=np.int64)
 
-    rates = cm.rates_for(h_index)
-    mask = cfg.adjacency_mask()
     options = []  # per station: (1 + degree, n) rows, idle first
-    for m in range(cfg.n_stations):
-        users = np.flatnonzero(mask[m] & (rates[m] > 0))
-        rows = np.zeros((1 + users.size, cfg.n_users), dtype=np.int64)
-        rows[np.arange(1, 1 + users.size), users] = rates[m, users]
+    for pairs in station_options(cm, cfg, h_index):
+        rows = np.zeros((1 + len(pairs), cfg.n_users), dtype=np.int64)
+        for i, (link, rate) in enumerate(pairs, start=1):
+            rows[i, link % cfg.n_users] = rate
         options.append(rows)
     choice = np.indices([len(rows) for rows in options]).reshape(cfg.n_stations, -1)
     return np.stack([rows[c] for rows, c in zip(options, choice)], axis=1)

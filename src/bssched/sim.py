@@ -1,12 +1,18 @@
 """Slot-by-slot simulation engine.
 
 Event order inside slot t: arrivals are drawn, the policy picks the
-activation id and a rate matrix from the restricted region for the
-observed channel state, transmissions depart (capped by queue content),
-and the slot's arrivals join the queues. The queue recorded for slot t is
-the pre-arrival queue the policy weighted, so
-Q(t+1) = Q(t) - departures + A(t). The cost of every (previous, current)
-pair of activation ids is tabulated once per run and read after the loop.
+activation id and the slot's service from R(j, h) for the observed
+channel state, transmissions depart (capped by queue content), and the
+slot's arrivals join the queues. The queue recorded for slot t is the
+pre-arrival queue the policy weighted, so Q(t+1) = Q(t) - departures +
+A(t). The cost of every (previous, current) pair of activation ids is
+tabulated once per run and read after the loop.
+
+Inside the loop the queues are a flat list of Python ints, one per
+(station, user) pair in row-major order, and the policy's service is a
+list of (link, rate) pairs, so the queue update, the total queue and its
+sum of squares take no numpy call; each slot's figures are written into
+the trace's preallocated arrays.
 
 All randomness comes from a single generator with a fixed draw order per
 slot: the arrival matrix first, then one uniform for the channel state,
@@ -16,6 +22,7 @@ byte-identical traces.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,7 +34,6 @@ from .model import (
     all_on,
     enumerate_activations,
     network_cost,
-    step_queues,
 )
 from .rateregion import ChannelModel
 
@@ -120,14 +126,16 @@ class SimTrace:
         return {int(i): float(c) / self.horizon for i, c in zip(ids, counts)}
 
 
-def draw_channel_index(cum_pmf: np.ndarray, rng: np.random.Generator) -> int:
+def draw_channel_index(cum_pmf: list[float], rng: np.random.Generator) -> int:
     """Inverse-CDF draw from a cumulative pmf, consuming exactly one uniform.
 
-    The package's only categorical draw: channel states here, activations
-    and rate members in the policies.
+    ``cum_pmf`` is a list of Python floats (callers convert once); the
+    index is the first entry above the uniform, as with
+    ``np.searchsorted(side="right")``, clamped to the last entry for a CDF
+    that ends below 1. The package's only categorical draw: channel states
+    here, activations and rate members in the policies.
     """
-    idx = int(np.searchsorted(cum_pmf, rng.random(), side="right"))
-    return min(idx, cum_pmf.shape[0] - 1)
+    return min(bisect_right(cum_pmf, rng.random()), len(cum_pmf) - 1)
 
 
 def _scales(regime: RegimeSchedule | None) -> dict[int, float]:
@@ -197,8 +205,11 @@ def run(
 
     base_rates = np.asarray(cfg.arrival_rates, dtype=float)
     rates_from = {start: base_rates * scale for start, scale in _scales(regime).items()}
-    cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float))
+    cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
+    # arrivals are zero off the adjacency, so only links take them
+    links = np.array([m * cfg.n_users + u for m, u in cfg.adjacency])
+    link_list = links.tolist()
 
     trace = SimTrace(
         policy_name=policy.name,
@@ -213,7 +224,12 @@ def run(
         lambda_err=np.full(horizon, np.nan),
         final_queues=q,
     )
+    total_queue, v_quad, served = trace.total_queue, trace.v_quad, trace.served
+    j_bits, explore_flags = trace.j_bits, trace.explore
 
+    q = q.ravel().tolist()  # flat Python ints from here on
+    total = sum(q)
+    v = sum(x * x for x in q)
     for t in range(1, horizon + 1):
         if t in rates_from:
             rates_now = rates_from[t]
@@ -223,23 +239,36 @@ def run(
             a = rng.binomial(cfg.max_arrivals, rates_now / cfg.max_arrivals)
         h_index = draw_channel_index(cum_pmf, rng)
 
-        j, s, explore = policy.step(t, q, h_index, a, rng)
+        j, service, explore = policy.step(t, q, h_index, a, rng)
 
         i = t - 1
-        trace.total_queue[i] = q.sum()
-        trace.v_quad[i] = int((q * q).sum())
-        trace.j_bits[i] = j
-        trace.explore[i] = explore
+        total_queue[i] = total
+        v_quad[i] = v
+        j_bits[i] = j
+        explore_flags[i] = explore
         if policy.mu_hat is not None:
             trace.mu_err[i] = float(np.abs(policy.mu_hat - true_mu).sum())
         if policy.lambda_hat is not None:
             trace.lambda_err[i] = float(np.abs(policy.lambda_hat - rates_now).sum())
 
-        q, departures = step_queues(q, s, a)
-        trace.served[i] = int(departures.sum())
+        departed = 0
+        for link, rate in service:
+            x = q[link]
+            d = rate if rate < x else x
+            q[link] = x - d
+            v -= d * (x + x - d)
+            departed += d
+        served[i] = departed
+        total -= departed
+        for link, n_new in zip(link_list, a.take(links).tolist()):
+            if n_new:
+                x = q[link]
+                q[link] = x + n_new
+                v += n_new * (x + x + n_new)
+                total += n_new
 
     trace.cost = cost[np.concatenate(([j0_id], trace.j_bits[:-1])), trace.j_bits]
-    trace.final_queues = q
+    trace.final_queues = np.array(q, dtype=np.int64).reshape(shape)
     return trace
 
 

@@ -11,7 +11,22 @@ import math
 
 import numpy as np
 
-from bssched import ChannelModel, ChannelState, NetworkConfig, build_lp
+from bssched import (
+    ChannelModel,
+    ChannelState,
+    NetworkConfig,
+    SimTrace,
+    StaticSplitStatic,
+    activation_id,
+    all_on,
+    beta_to_alpha,
+    build_lp,
+    enumerate_activations,
+    max_weight,
+    network_cost,
+    region_index,
+    step_queues,
+)
 
 # ---------------------------------------------------------------------------
 # Linear programming
@@ -226,6 +241,88 @@ def brute_force_max_weight(q, members):
         if best_val is None or val > best_val:
             best_idx, best_val = idx, val
     return best_idx
+
+
+def _searchsorted_draw(cum_pmf, rng):
+    """Inverse-CDF draw of one uniform by ``np.searchsorted``."""
+    idx = int(np.searchsorted(cum_pmf, rng.random(), side="right"))
+    return min(idx, cum_pmf.shape[0] - 1)
+
+
+def reference_run(
+    cfg, cm, policy, horizon, seed=None, rng=None, regime=None, j0=None,
+    q0=None, arrival_law="bernoulli",
+):
+    """``sim.run`` by the region-based slot loop: Max-Weight is
+    ``max_weight`` over the member array R(j, h) of ``region_index``, and
+    the queues are a numpy matrix updated by ``step_queues``.
+
+    The draw order is the engine's: the arrival matrix, the channel-state
+    uniform, then the policy's activation draws and, for
+    ``static_split_static``, the member draw from the planned alpha. Only
+    the activation comes from the policy (``_activation``); the service is
+    computed here. Inputs are assumed valid.
+    """
+    rng = np.random.default_rng(seed) if rng is None else rng
+    shape = (cfg.n_stations, cfg.n_users)
+    q = np.zeros(shape, dtype=np.int64) if q0 is None else np.array(q0, dtype=np.int64)
+    j0_id = activation_id(all_on(cfg.n_stations) if j0 is None else j0)
+    policy.reset(j0_id)
+    regions = region_index(cfg, cm)
+    alpha_cdf = None
+    if isinstance(policy, StaticSplitStatic):
+        alpha = beta_to_alpha(policy.problem, policy.solution)
+        alpha_cdf = {key: np.cumsum(pmf) for key, pmf in alpha.items()}
+    acts = enumerate_activations(cfg.n_stations)
+    cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float))
+    true_mu = np.asarray(cm.pmf, dtype=float)
+    base_rates = np.asarray(cfg.arrival_rates, dtype=float)
+
+    trace = SimTrace(
+        policy_name=policy.name,
+        horizon=horizon,
+        total_queue=np.zeros(horizon, dtype=np.int64),
+        v_quad=np.zeros(horizon, dtype=np.int64),
+        cost=np.zeros(horizon),
+        served=np.zeros(horizon, dtype=np.int64),
+        j_bits=np.zeros(horizon, dtype=np.int64),
+        explore=np.zeros(horizon, dtype=bool),
+        mu_err=np.full(horizon, np.nan),
+        lambda_err=np.full(horizon, np.nan),
+        final_queues=q,
+    )
+    previous = j0_id
+    for t in range(1, horizon + 1):
+        rates_now = base_rates * (1.0 if regime is None else regime.scale_at(t))
+        if arrival_law == "bernoulli":
+            a = (rng.random(shape) < rates_now).astype(np.int64)
+        else:
+            a = rng.binomial(cfg.max_arrivals, rates_now / cfg.max_arrivals)
+        h = _searchsorted_draw(cum_pmf, rng)
+
+        j, explore = policy._activation(t, h, a, rng)
+        policy._j = j
+        region = regions[j][h]
+        if alpha_cdf is None:
+            s = region[max_weight(q, region)]
+        else:
+            s = region[_searchsorted_draw(alpha_cdf[(j, h)], rng)]
+
+        i = t - 1
+        trace.total_queue[i] = q.sum()
+        trace.v_quad[i] = int((q * q).sum())
+        trace.cost[i] = network_cost(acts[previous], acts[j], cfg)
+        trace.j_bits[i] = j
+        trace.explore[i] = explore
+        if policy.mu_hat is not None:
+            trace.mu_err[i] = float(np.abs(policy.mu_hat - true_mu).sum())
+        if policy.lambda_hat is not None:
+            trace.lambda_err[i] = float(np.abs(policy.lambda_hat - rates_now).sum())
+        q, departures = step_queues(q, s, a)
+        trace.served[i] = int(departures.sum())
+        previous = j
+    trace.final_queues = q
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bssched.policies as policies_module
 from bssched.cli import bundled_scenario_path, load_scenario, reference_scenario
@@ -64,6 +66,15 @@ def toy_instance(lam=0.4):
     return cfg, cm
 
 
+def service_matrix(service, shape):
+    """A step's (link, rate) pairs as a rate matrix, each link at most once."""
+    s = np.zeros(shape, dtype=np.int64)
+    for link, rate in service:
+        assert s.flat[link] == 0
+        s.flat[link] = rate
+    return s
+
+
 def adjacency_matrix(cfg, value):
     lam = np.zeros((cfg.n_stations, cfg.n_users))
     for m, u in cfg.adjacency:
@@ -100,7 +111,8 @@ def test_explicit_region_keeps_its_order_for_empty_queues():
     q = np.zeros((1, 2), dtype=np.int64)
     assert max_weight(q, full_region(cm, cfg, 0)) == 0
     policy = AlwaysOnMaxWeight(cfg, cm)
-    _, s, _ = policy.step(1, q, 0, q, np.random.default_rng(0))
+    _, service, _ = policy.step(1, q.ravel().tolist(), 0, q, np.random.default_rng(0))
+    s = service_matrix(service, q.shape)
     assert s.tolist() == [[1, 0]]
     next_q, departures = step_queues(q, s, q)
     assert not departures.any() and not next_q.any()
@@ -159,6 +171,55 @@ def test_max_weight_value_grows_with_activation(reference):
             return float((flat @ q.ravel()).max())
 
         assert best_value(j_big) >= best_value(j_small) - 1e-12
+
+
+@st.composite
+def one_user_networks(draw):
+    """A one-user-per-station network with 1-3 channel states and queues:
+    1-4 stations, 1-4 users that stations may share, rates in {0, 1, 2},
+    queue lengths in {0, ..., 3} (so weights tie) with some stations'
+    rows all zero. Returns (cfg, cm, flat queue list)."""
+    n_stations = draw(st.integers(1, 4))
+    n_users = draw(st.integers(1, 4))
+    pairs = [(m, u) for m in range(n_stations) for u in range(n_users)]
+    adjacency = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    n_states = draw(st.integers(1, 3))
+    states = []
+    for h in range(n_states):
+        rates = np.zeros((n_stations, n_users), dtype=np.int64)
+        for m, u in adjacency:
+            rates[m, u] = draw(st.integers(0, 2))
+        states.append(ChannelState(name=f"h{h}", rates=rates))
+    cfg = NetworkConfig(
+        n_users=n_users,
+        n_stations=n_stations,
+        adjacency=adjacency,
+        arrival_rates=np.zeros((n_stations, n_users)),
+        max_rate=2,
+    )
+    cm = ChannelModel(states=tuple(states), pmf=np.full(n_states, 1.0 / n_states))
+    size = n_stations * n_users
+    q = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    for m in draw(st.sets(st.integers(0, n_stations - 1))):
+        q[m * n_users : (m + 1) * n_users] = [0] * n_users
+    return cfg, cm, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(network=one_user_networks())
+def test_per_station_max_weight_equals_region_max_weight(network):
+    """For every activation and state, the per-station service is the
+    nonzero entries of the region's Max-Weight member, link by link."""
+    cfg, cm, q = network
+    policy = AlwaysOnMaxWeight(cfg, cm)
+    regions = region_index(cfg, cm)
+    queues = np.array(q, dtype=np.int64).reshape(cfg.n_stations, cfg.n_users)
+    for j in range(2**cfg.n_stations):
+        for h in range(cm.n_states):
+            region = regions[j][h]
+            member = region[max_weight(queues, region)].ravel().tolist()
+            expected = [(link, rate) for link, rate in enumerate(member) if rate]
+            assert policy.max_weight(q, j, h) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +312,7 @@ def test_min_switch_gap_enforces_exact_spacing(reference):
     policy = StaticSplitMaxWeight(cfg, cm, eps_s=1.0, eps_g=0.05, min_switch_gap=10)
     policy.reset(0b111)
     rng = np.random.default_rng(0)
-    q = np.zeros((3, 5), dtype=np.int64)
+    q = [0] * 15
     a = np.zeros((3, 5), dtype=np.int64)
     for t in range(1, 101):
         policy.step(t, q, 0, a, rng)
@@ -280,7 +341,7 @@ class _CountingUniform:
 
 def test_min_switch_gap_consumes_no_uniform_while_gated(reference):
     cfg, cm = reference
-    q = np.zeros((3, 5), dtype=np.int64)
+    q = [0] * 15
     a = np.zeros((3, 5), dtype=np.int64)
 
     gated = StaticSplitMaxWeight(cfg, cm, eps_s=1.0, eps_g=0.05, min_switch_gap=10)
@@ -380,9 +441,9 @@ def test_activation_dominates_baseline(reference):
     for t in range(1, 1501):
         a = (rng.random((3, 5)) < rates).astype(np.int64)
         h = min(int(np.searchsorted(cum, rng.random(), side="right")), cm.n_states - 1)
-        j, s, _ = policy.step(t, q, h, a, rng)
+        j, service, _ = policy.step(t, q.ravel().tolist(), h, a, rng)
         assert j & policy.j_tilde == policy.j_tilde  # every baseline station is on
-        q, _ = step_queues(q, s, a)
+        q, _ = step_queues(q, service_matrix(service, q.shape), a)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +610,7 @@ def test_update_arrivals_every_slot(reference):
         "algorithm1", cfg, cm, rng, params={"update_arrivals_every_slot": True}
     )
     a = adjacency_matrix(cfg, 1.0).astype(np.int64)
-    q = np.zeros((3, 5), dtype=np.int64)
+    q = [0] * 15
     policy.step(1, q, 0, a, rng)
     assert np.array_equal(policy.lambda_hat, a)
     assert not policy.mu_hat.any()
@@ -647,6 +708,38 @@ def test_make_policy_checks_every_parameter_before_building(
         make_policy(name, cfg, cm, np.random.default_rng(0), params)
     if name == "round_robin":
         assert "eps_p must be nonnegative" in str(caught.value)
+
+
+BAD_VALUES = [
+    ({"min_switch_gap": 2.5}, "min_switch_gap must be an integer"),
+    ({"eps_s": True}, "eps_s must be a number"),
+    ({"eps_g": float("inf")}, "eps_g must be finite"),
+    ({"eps_s": "0.1"}, "eps_s must be a number"),
+]
+
+
+@pytest.mark.parametrize("params, problem", BAD_VALUES)
+def test_make_policy_rejects_mistyped_and_infinite_values(reference, params, problem):
+    cfg, cm = reference
+    with pytest.raises(PolicyError, match=problem):
+        make_policy("static_split_mw", cfg, cm, np.random.default_rng(0), params)
+
+
+@pytest.mark.parametrize("params, problem", BAD_VALUES)
+def test_constructors_reject_mistyped_and_infinite_values(reference, params, problem):
+    cfg, cm = reference
+    with pytest.raises(PolicyError, match=problem):
+        StaticSplitMaxWeight(cfg, cm, **{"eps_s": 0.05, "eps_g": 0.05, **params})
+
+
+def test_policy_parameters_accept_numpy_numbers_and_whole_floats(reference):
+    cfg, cm = reference
+    params = {"eps_s": np.float64(0.1), "min_switch_gap": 3.0, "eps_p": np.int64(0)}
+    policy = make_policy("algorithm1", cfg, cm, np.random.default_rng(0), params)
+    assert (policy.eps_s, policy.min_switch_gap, policy.eps_p) == (0.1, 3, 0.0)
+    with pytest.raises(PolicyError, match="update_arrivals_every_slot must be a boolean"):
+        make_policy("algorithm1", cfg, cm, np.random.default_rng(0),
+                    {"update_arrivals_every_slot": 1})
 
 
 def test_constructors_check_every_parameter_they_take(reference):

@@ -4,24 +4,31 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bssched.cli import reference_scenario
+from bssched.cli import bundled_scenario_path, load_scenario, reference_scenario
 from bssched.model import NetworkConfig, activation_id
 from bssched.policies import (
+    POLICY_NAMES,
     AlwaysOnMaxWeight,
     LearningMaxWeight,
     StaticSplitMaxWeight,
     make_policy,
 )
-from bssched.rateregion import ChannelModel, ChannelState
+from bssched.rateregion import EXPLICIT, ChannelModel, ChannelState, full_region
 from bssched.sim import (
     ARRIVAL_LAWS,
     RegimeSchedule,
+    SimTrace,
     arrival_errors,
+    draw_channel_index,
     drift_diagnostic,
     run,
     stability_fraction,
 )
+
+from oracles import reference_run
 
 
 @pytest.fixture(scope="module")
@@ -425,3 +432,104 @@ def test_run_with_factory_policies(reference):
         trace = run(cfg, cm, policy, horizon=200, rng=rng)
         assert trace.policy_name == name
         assert trace.horizon == 200
+
+
+# ---------------------------------------------------------------------------
+# Channel draw
+# ---------------------------------------------------------------------------
+
+
+class _FixedUniform:
+    """Stub generator returning one uniform and counting the calls."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    top=st.one_of(st.just(1.0), st.floats(0.25, 1.0)),
+    data=st.data(),
+)
+def test_draw_channel_index_matches_searchsorted(weights, top, data):
+    """Bisecting a list CDF gives np.searchsorted(side="right")'s index,
+    clamped to the last entry, for uniforms on a CDF entry and for a CDF
+    that ends below 1; exactly one uniform is drawn."""
+    cdf = np.cumsum(weights)
+    if cdf[-1] > 0:
+        cdf = cdf / cdf[-1] * top
+    on_entry = st.sampled_from(cdf.tolist())
+    u = data.draw(st.one_of(on_entry, st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    expected = min(int(np.searchsorted(cdf, u, side="right")), cdf.shape[0] - 1)
+    stub = _FixedUniform(u)
+    assert draw_channel_index(cdf.tolist(), stub) == expected
+    assert stub.calls == 1
+
+
+# ---------------------------------------------------------------------------
+# Engine against the region-based reference loop
+# ---------------------------------------------------------------------------
+
+
+def _explicit_reference():
+    """``reference`` under explicit interference: each state's members are
+    its one-user-per-station region plus matrices serving several users
+    per station, in a shuffled order."""
+    cfg, cm = reference_scenario()
+    rng = np.random.default_rng(7)
+    regions = []
+    for h in range(cm.n_states):
+        members = full_region(cm, cfg, h)
+        shape = (6, cfg.n_stations, cfg.n_users)
+        wide = (rng.random(shape) < 0.4) * cm.rates_for(h)
+        pool = np.concatenate([members, wide])
+        regions.append(pool[rng.permutation(len(pool))])
+    cm = dataclasses.replace(cm, interference=EXPLICIT, explicit_regions=tuple(regions))
+    assert cm.validate_against(cfg) == []
+    return cfg, cm
+
+
+def _engine_case(case):
+    """(cfg, cm, policy params, run keyword arguments) of one engine check."""
+    cfg, cm = reference_scenario()
+    if case == "reference":
+        q0 = np.random.default_rng(1).integers(0, 6, size=(3, 5))  # off-adjacency too
+        return cfg, cm, {"eps_s": 0.1}, {"horizon": 1500, "q0": q0, "j0": [0, 1, 0]}
+    if case == "binomial":
+        cfg = dataclasses.replace(cfg, max_arrivals=2)
+        return cfg, cm, {"eps_s": 0.1}, {"horizon": 1500, "arrival_law": "binomial"}
+    if case == "reference_regime":
+        scenario = load_scenario(bundled_scenario_path("reference_regime"))
+        regime = RegimeSchedule(changes=((151, 0.5), (251, 1.5)))
+        kwargs = {"horizon": 400, "regime": regime}
+        return scenario.cfg, scenario.cm, scenario.policy_params, kwargs
+    cfg, cm = _explicit_reference()
+    return cfg, cm, {"eps_s": 0.1}, {"horizon": 600}
+
+
+@pytest.mark.parametrize("case", ["reference", "binomial", "reference_regime", "explicit"])
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_run_equals_the_region_based_reference_engine(name, case):
+    """Per-station service on flat int queues gives the trace of Max-Weight
+    over R(j, h) on a numpy queue matrix, field by field."""
+    cfg, cm, params, kwargs = _engine_case(case)
+    traces = []
+    for engine in (run, reference_run):
+        rng = np.random.default_rng(3)
+        policy = make_policy(name, cfg, cm, rng, params)
+        traces.append(engine(cfg, cm, policy, rng=rng, **kwargs))
+    fast, slow = traces
+    for field in dataclasses.fields(SimTrace):
+        expected = getattr(slow, field.name)
+        got = getattr(fast, field.name)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype, field.name
+        np.testing.assert_array_equal(got, expected, err_msg=field.name)
+    assert fast.served.any()
+    assert name != "algorithm1" or fast.explore.any()
