@@ -46,7 +46,7 @@ CSV_COLUMNS = (
     "mu_hat_err",
     "lambda_hat_err",
 )
-CSV_BLOCK = 1024  # rows formatted at a time
+CSV_BLOCK = 128  # rows formatted at a time
 
 
 class ScenarioError(Exception):
@@ -314,22 +314,28 @@ def _write_csv(path: Path, trace, window: int) -> None:
     """One row per slot, written ``CSV_BLOCK`` rows at a time: each column
     of a block is converted once with ``tolist()``, the float columns are
     formatted to 10 significant digits, and the rows go out in one
-    ``writerows``. Blocks keep the formatted text small at any horizon."""
-    ints = (np.arange(1, trace.horizon + 1), trace.total_queue)
-    floats = (trace.cost, trace.running_avg_cost(), trace.windowed_cost(window))
-    flags = (trace.j_bits, trace.explore.astype(np.int64))
-    errors = (trace.mu_err, trace.lambda_err)
+    ``writerows``. Blocks keep memory flat at any horizon."""
+    avg = trace.running_avg_cost()
+    windowed = trace.windowed_cost(window)
     as_text = "{:.10g}".format
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for lo in range(0, trace.horizon, CSV_BLOCK):
             rows = slice(lo, lo + CSV_BLOCK)
-            columns = [c[rows].tolist() for c in ints]
-            columns += [list(map(as_text, c[rows].tolist())) for c in floats]
-            columns += [c[rows].tolist() for c in flags]
-            columns += [list(map(as_text, c[rows].tolist())) for c in errors]
-            writer.writerows(zip(*columns))
+            writer.writerows(
+                zip(
+                    range(lo + 1, lo + CSV_BLOCK + 1),  # zip stops at the last slot
+                    trace.total_queue[rows].tolist(),
+                    map(as_text, trace.cost[rows].tolist()),
+                    map(as_text, avg[rows].tolist()),
+                    map(as_text, windowed[rows].tolist()),
+                    trace.j_bits[rows].tolist(),
+                    map(int, trace.explore[rows].tolist()),
+                    map(as_text, trace.mu_err[rows].tolist()),
+                    map(as_text, trace.lambda_err[rows].tolist()),
+                )
+            )
 
 
 def _run_one_seed(scenario: Scenario, seed: int, horizon: int, out_dir: str):
