@@ -11,9 +11,9 @@ Two interference models are supported. "one_user_per_station" builds the
 region combinatorially: each active station either idles or serves exactly
 one adjacent user at that link's current rate (its ``station_options``,
 which the per-station Max-Weight in the policies reads too), and R(j, h) is
-the members of R(1, h) whose OFF stations already idle. "explicit" takes each state's
-member list straight from the configuration; its R(j, h) masks the members
-and drops repeats.
+the members of R(1, h) whose OFF stations already idle. "explicit" takes
+each state's member list straight from the configuration; its R(j, h)
+masks the members and drops repeats.
 """
 
 from __future__ import annotations

@@ -737,9 +737,9 @@ def test_policy_parameters_accept_numpy_numbers_and_whole_floats(reference):
     params = {"eps_s": np.float64(0.1), "min_switch_gap": 3.0, "eps_p": np.int64(0)}
     policy = make_policy("algorithm1", cfg, cm, np.random.default_rng(0), params)
     assert (policy.eps_s, policy.min_switch_gap, policy.eps_p) == (0.1, 3, 0.0)
+    params = {"update_arrivals_every_slot": 1}
     with pytest.raises(PolicyError, match="update_arrivals_every_slot must be a boolean"):
-        make_policy("algorithm1", cfg, cm, np.random.default_rng(0),
-                    {"update_arrivals_every_slot": 1})
+        make_policy("algorithm1", cfg, cm, np.random.default_rng(0), params)
 
 
 def test_constructors_check_every_parameter_they_take(reference):
