@@ -10,10 +10,13 @@ Run from the repository root, for example:
 into temporary directories so that only committed files are measured, or
 existing directories. For each workload the two sides run one after the
 other for the given number of pairs, ``before`` first in even pairs and
-``after`` first in odd ones; every run's final JSON line is kept as
-printed. The summary gives, per end-to-end metric, the
-median and quartile spread of each side and the number of pairs the
-``after`` side won (lower is better for every metric).
+``after`` first in odd ones. Both sides of pair i run with ``--seed i``, so
+the pairs span benchmark seeds. Every run's final JSON line is kept as
+printed; a run that reports ``"correct": false`` or a failed command stops
+the script with exit status 1, naming the workload and side. The summary
+gives, per end-to-end metric, the median and quartile spread of each side
+and the number of pairs the ``after`` side won (lower is better for every
+metric).
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ def checkout(spec: str, scratch: Path) -> Path:
     return target
 
 
-def run_once(root: Path, workload: str, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds)],
         cwd=root, check=True, capture_output=True, text=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -96,9 +99,17 @@ def main() -> int:
             pairs = []
             for i in range(int(count)):
                 order = ("before", "after") if i % 2 == 0 else ("after", "before")
-                pair = {side: run_once(roots[side], workload, args.seconds)
-                        for side in order}
-                pairs.append({"first": order[0], **pair})
+                pair = {}
+                for side in order:
+                    result = run_once(roots[side], workload, i, args.seconds)
+                    if not result["correct"] or result["failed"] > 0:
+                        print(f"{workload} pair {i + 1}, {side} side "
+                              f"({getattr(args, side)}): correct {result['correct']}, "
+                              f"{result['failed']} of {result['attempted']} commands "
+                              "failed", file=sys.stderr)
+                        return 1
+                    pair[side] = result
+                pairs.append({"first": order[0], "seed": i, **pair})
                 print(f"{workload} pair {i + 1}/{count}: command_s "
                       f"{pair['before']['metrics']['command_s']['value']:.3f} -> "
                       f"{pair['after']['metrics']['command_s']['value']:.3f}",

@@ -5,9 +5,10 @@ ON is 2**M - 1). ``reset(j0)`` takes the id before the first slot, and the
 one ``step(t, q, h_index, arrivals, rng)`` returns the slot's id, service
 and explore flag: each policy picks the activation in ``_activation``, and
 ``_serve`` serves the pre-arrival queues (the engine applies departures
-before arrivals). ``q`` is the engine's flat list of queue lengths, one per
-(station, user) pair in row-major order, and a service is a list of
-(link, rate) pairs into it, at most one per serving station.
+before arrivals). ``q`` and ``arrivals`` are the engine's flat lists of
+queue lengths and of the slot's arrivals, one int per (station, user) pair
+in row-major order, and a service is a list of (link, rate) pairs into
+``q``, at most one per serving station.
 
 ``max_weight(q, j, h)`` is the Max-Weight rule over R(j, h). Under
 one_user_per_station it splits by station (Tassiulas & Ephremides 1992):
@@ -126,6 +127,8 @@ class Policy:
     plan with it.
     ``lp_solves``, ``lp_warm_solves`` and ``lp_pivots`` count the policy's
     own LP solves, those answered from a warm start, and their pivots.
+    A policy with estimates sets both ``mu_hat`` and ``lambda_hat`` and
+    counts their changes in ``estimate_version``.
     """
 
     name = "policy"
@@ -196,7 +199,7 @@ class Policy:
         t: int,
         q: list[int],
         h_index: int,
-        arrivals: np.ndarray,
+        arrivals: list[int],
         rng: np.random.Generator,
     ) -> tuple[int, list[tuple[int, int]], bool]:
         """(activation id, service, explore flag) for slot t."""
@@ -431,6 +434,8 @@ class LearningMaxWeight(Policy):
         if self._resample_coin(t, rng):
             self._resample_j_tilde(rng)
         explore = rng.random() < self.explore_probability(t)
+        if explore or self.update_arrivals_every_slot:
+            arrivals = np.reshape(arrivals, self.lambda_hat.shape)
         if explore:
             self._update_estimates(h_index, arrivals)
         if self.update_arrivals_every_slot:
@@ -444,6 +449,11 @@ class LearningMaxWeight(Policy):
     def j_tilde(self) -> int:
         """The baseline activation id."""
         return self._j_tilde
+
+    @property
+    def estimate_version(self) -> int:
+        """Number of estimate updates since ``reset``."""
+        return self._estimate_version
 
 
 def make_policy(

@@ -15,13 +15,25 @@ sum of squares take no numpy call; each slot's figures are written into
 the trace's preallocated arrays.
 
 All randomness comes from a single generator with a fixed draw order per
-slot: the arrival matrix first, then one uniform for the channel state,
-then whatever the policy consumes. Identical configuration and seed give
+slot: the arrivals first, then one uniform for the channel state, then
+whatever the policy consumes. Identical configuration and seed give
 byte-identical traces.
+
+The arrivals are computed per link from the uniforms numpy's own
+samplers would consume, in row-major link order, so the stream is the
+one ``rng.random((M, n)) < rates`` or ``rng.binomial(max_arrivals, rates
+/ max_arrivals)`` gives. Bernoulli arrivals draw all M * n uniforms and
+test the adjacency links. Binomial arrivals port numpy's inversion
+sampler: a link with p = 0 takes no uniform, p > 0.5 draws n - X(1 - p),
+and each draw takes one uniform plus one per restart. A regime in which
+some link expects more than 30 arrivals (or misses more than 30) needs
+numpy's BTPE sampler, and its slots call ``rng.binomial`` on the
+adjacency links.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -138,6 +150,59 @@ def draw_channel_index(cum_pmf: list[float], rng: np.random.Generator) -> int:
     return min(bisect_right(cum_pmf, rng.random()), len(cum_pmf) - 1)
 
 
+def _inversion_table(n: int, probs: list[tuple[int, float]]) -> list[tuple] | None:
+    """numpy's binomial(n, p) inversion constants for each (link, p) with p > 0,
+    as (link, flip, p, q, qn, bound), or None if some p needs BTPE.
+
+    A p above 0.5 is drawn as n minus a draw at 1 - p (``flip``). ``qn``
+    must be exp(n * log1p(-p)): exp(n * log(q)) is an ulp off at some p.
+    """
+    table = []
+    for link, p in probs:
+        if p == 0:
+            continue
+        flip = p > 0.5
+        if flip:
+            p = 1.0 - p
+        if p * n > 30.0:
+            return None
+        q = 1.0 - p
+        mean = n * p
+        bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+        table.append((link, flip, p, q, math.exp(n * math.log1p(-p)), bound))
+    return table
+
+
+def _inversion_arrivals(n: int, table: list[tuple], rng: np.random.Generator):
+    """One binomial(n, p) draw per ``_inversion_table`` entry, as the nonzero
+    (link, count) pairs, consuming the uniforms ``rng.binomial`` would.
+
+    A draw that passes ``bound`` restarts on the next uniform; uniforms
+    past the block are then drawn one at a time, next in the stream.
+    """
+    u = rng.random(len(table)).tolist()
+    i = 0
+    arrived = []
+    for link, flip, p, q, qn, bound in table:
+        x, px, v = 0, qn, u[i]
+        i += 1
+        while v > px:
+            x += 1
+            if x > bound:
+                x, px = 0, qn
+                u.append(rng.random())
+                v = u[i]
+                i += 1
+            else:
+                v -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+        if flip:
+            x = n - x
+        if x:
+            arrived.append((link, x))
+    return arrived
+
+
 def _scales(regime: RegimeSchedule | None) -> dict[int, float]:
     """{start slot: scale} for every scale ``regime`` applies, slot 1 first."""
     return dict(((1, 1.0), *(regime.changes if regime is not None else ())))
@@ -203,13 +268,24 @@ def run(
     acts = enumerate_activations(cfg.n_stations)
     cost = np.array([[network_cost(a, b, cfg) for b in acts] for a in acts])
 
-    base_rates = np.asarray(cfg.arrival_rates, dtype=float)
-    rates_from = {start: base_rates * scale for start, scale in _scales(regime).items()}
+    size = cfg.n_stations * cfg.n_users
+    n_max = cfg.max_arrivals
+    # numpy draws in row-major order, so the links are taken in that order
+    links = sorted(m * cfg.n_users + u for m, u in cfg.adjacency)
+    regimes = {}  # start slot: (rates, Bernoulli or inversion table, BTPE p)
+    for start, scale in _scales(regime).items():
+        rates = np.asarray(cfg.arrival_rates, dtype=float) * scale
+        flat = rates.ravel().tolist()
+        if arrival_law == "bernoulli":
+            regimes[start] = (rates, [(k, flat[k]) for k in links], None)
+            continue
+        probs = [(k, flat[k] / n_max) for k in links]
+        table = _inversion_table(n_max, probs)
+        btpe = None if table is not None else np.array([p for _, p in probs])
+        regimes[start] = (rates, table, btpe)
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
-    # arrivals are zero off the adjacency, so only links take them
-    links = np.array([m * cfg.n_users + u for m, u in cfg.adjacency])
-    link_list = links.tolist()
+    has_estimates = policy.mu_hat is not None
 
     trace = SimTrace(
         policy_name=policy.name,
@@ -226,17 +302,26 @@ def run(
     )
     total_queue, v_quad, served = trace.total_queue, trace.v_quad, trace.served
     j_bits, explore_flags = trace.j_bits, trace.explore
+    mu_err, lambda_err = trace.mu_err, trace.lambda_err
 
     q = q.ravel().tolist()  # flat Python ints from here on
     total = sum(q)
     v = sum(x * x for x in q)
     for t in range(1, horizon + 1):
-        if t in rates_from:
-            rates_now = rates_from[t]
+        if t in regimes:
+            rates_now, table, btpe = regimes[t]
+            seen_version = None  # lambda_err is against the new rates
         if arrival_law == "bernoulli":
-            a = (rng.random(shape) < rates_now).astype(np.int64)
+            u = rng.random(size).tolist()
+            arrived = [(k, 1) for k, rate in table if u[k] < rate]
+        elif btpe is None:
+            arrived = _inversion_arrivals(n_max, table, rng)
         else:
-            a = rng.binomial(cfg.max_arrivals, rates_now / cfg.max_arrivals)
+            counts = rng.binomial(n_max, btpe).tolist()
+            arrived = [(k, x) for k, x in zip(links, counts) if x]
+        a = [0] * size
+        for link, n_new in arrived:
+            a[link] = n_new
         h_index = draw_channel_index(cum_pmf, rng)
 
         j, service, explore = policy.step(t, q, h_index, a, rng)
@@ -246,10 +331,13 @@ def run(
         v_quad[i] = v
         j_bits[i] = j
         explore_flags[i] = explore
-        if policy.mu_hat is not None:
-            trace.mu_err[i] = float(np.abs(policy.mu_hat - true_mu).sum())
-        if policy.lambda_hat is not None:
-            trace.lambda_err[i] = float(np.abs(policy.lambda_hat - rates_now).sum())
+        if has_estimates:  # the errors change only with the estimates or rates
+            if policy.estimate_version != seen_version:
+                seen_version = policy.estimate_version
+                mu_e = float(np.abs(policy.mu_hat - true_mu).sum())
+                lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
+            mu_err[i] = mu_e
+            lambda_err[i] = lambda_e
 
         departed = 0
         for link, rate in service:
@@ -260,12 +348,11 @@ def run(
             departed += d
         served[i] = departed
         total -= departed
-        for link, n_new in zip(link_list, a.take(links).tolist()):
-            if n_new:
-                x = q[link]
-                q[link] = x + n_new
-                v += n_new * (x + x + n_new)
-                total += n_new
+        for link, n_new in arrived:
+            x = q[link]
+            q[link] = x + n_new
+            v += n_new * (x + x + n_new)
+            total += n_new
 
     trace.cost = cost[np.concatenate(([j0_id], trace.j_bits[:-1])), trace.j_bits]
     trace.final_queues = np.array(q, dtype=np.int64).reshape(shape)

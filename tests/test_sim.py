@@ -21,6 +21,8 @@ from bssched.sim import (
     ARRIVAL_LAWS,
     RegimeSchedule,
     SimTrace,
+    _inversion_arrivals,
+    _inversion_table,
     arrival_errors,
     draw_channel_index,
     drift_diagnostic,
@@ -221,6 +223,103 @@ def test_binomial_arrival_rate_empirical(reference):
                        * (1 - np.asarray(wide.arrival_rates) / 2)).sum())
     sigma = np.sqrt(var_total / trace.horizon)
     assert abs(arrivals / trace.horizon - lam_total) <= 3.0 * sigma
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = (1 << 64) - 1
+
+
+def force_next_uniform(rng, k):
+    """Rewind ``rng``'s PCG64 state so that its next ``random()`` is k * 2**-53.
+
+    PCG64 steps s = s * MULT + inc (mod 2**128) and outputs
+    rotr64(hi ^ lo, s >> 122) of the new state; ``random()`` keeps the top
+    53 bits of that output. So pick the new state's high half, solve for
+    the low half that outputs k << 11, and step back once.
+    """
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    hi = state["state"]["state"] >> 64
+    out, rot = k << 11, hi >> 58
+    lo = hi ^ (((out << rot) | (out >> (64 - rot))) & MASK64)
+    new = (hi << 64) | lo
+    state["state"]["state"] = (new - inc) * pow(PCG64_MULT, -1, 1 << 128) % (1 << 128)
+    rng.bit_generator.state = state
+
+
+def test_force_next_uniform():
+    rng = np.random.default_rng(4)
+    for k in (0, 1, 3**30, 2**53 - 1):
+        force_next_uniform(rng, k)
+        assert rng.random() == k * 2.0**-53
+
+
+def _cumulative_pmf(n, p):
+    """numpy's inversion thresholds for binomial(n, p): its px recursion
+    (at min(p, 1 - p)) summed up to the bound."""
+    table = _inversion_table(n, [(0, p)])
+    if not table:
+        return []
+    _, _, p, q, px, bound = table[0]
+    edges, total = [px], px
+    for x in range(1, bound + 1):
+        px = ((n - x + 1) * p * px) / (x * q)
+        total += px
+        edges.append(total)
+    return edges
+
+
+@st.composite
+def _binomial_draw(draw):
+    """(n, link probabilities, the first uniform as k * 2**-53 or None)."""
+    n = draw(st.integers(1, 100))
+    special = st.sampled_from([0.0, 1.0, 0.5, float(np.nextafter(0.5, 1.0))])
+    near_30 = st.floats(0.95, 1.05).map(lambda f: min(1.0, 30.0 * f / n))
+    prob = st.one_of(st.floats(0.0, 1.0), special, near_30, near_30.map(lambda p: 1.0 - p))
+    ps = draw(st.lists(prob, min_size=1, max_size=3))
+    edges = [c for c in _cumulative_pmf(n, ps[0]) if c < 1.0]
+    at_edge = st.sampled_from(edges or [0.5]).map(lambda c: int(c * 2.0**53))
+    shifted = st.tuples(at_edge, st.integers(-1, 1)).map(sum)
+    near_one = st.integers(1, 2**20).map(lambda d: 2**53 - d)  # restarts
+    k = draw(st.one_of(st.none(), shifted, near_one, st.just(0)))
+    return n, ps, k
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_binomial_draw(), seed=st.integers(0, 2**32 - 1))
+def test_inversion_port_equals_numpy_binomial(case, seed):
+    """The engine's inversion sampler gives rng.binomial(n, ps)'s values and
+    leaves the generator where numpy leaves it, at every inversion edge,
+    one uniform step either side of it, on restarts and at p = 0 (no
+    uniform), p = 1, p = 0.5 and n * p near 30; past 30 numpy takes BTPE
+    and the table says so."""
+    n, ps, k = case
+    table = _inversion_table(n, list(enumerate(ps)))
+    if table is None:
+        assert any(min(p, 1.0 - p) * n > 30.0 for p in ps)
+        return
+    port, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if k is not None:
+        force_next_uniform(port, k)
+        force_next_uniform(numpy_rng, k)
+    got = [0] * len(ps)
+    for link, x in _inversion_arrivals(n, table, port):
+        got[link] = x
+    assert got == numpy_rng.binomial(n, ps).tolist()
+    assert port.random() == numpy_rng.random()
+
+
+@pytest.mark.parametrize("n, p", [(100, 0.01), (40, 0.2), (25, 0.97)])
+def test_inversion_restart_takes_the_next_uniform(n, p):
+    """A first uniform past the bound's mass restarts the draw on the next
+    uniform, as numpy does; a second link then draws past the block."""
+    port, numpy_rng, stream = (np.random.default_rng(8) for _ in range(3))
+    for rng in (port, numpy_rng, stream):
+        force_next_uniform(rng, 2**53 - 1)
+    got = dict(_inversion_arrivals(n, _inversion_table(n, [(0, p), (1, 0.3)]), port))
+    assert [got.get(0, 0), got.get(1, 0)] == numpy_rng.binomial(n, [p, 0.3]).tolist()
+    stream.random(3)  # two for link 0, one for link 1
+    assert port.random() == numpy_rng.random() == stream.random()
 
 
 def test_bernoulli_rejects_scaled_rate_above_one(reference):
@@ -496,6 +595,22 @@ def _explicit_reference():
     return cfg, cm
 
 
+def _wide_binomial(cfg, cm, max_arrivals, factor, rates):
+    """``reference`` with channel rates times ``factor`` and binomial
+    arrivals at ``rates`` ({(m, u): rate}, 0.2 on the other links)."""
+    matrix = np.where(cfg.adjacency_mask(), 0.2, 0.0)
+    for link, rate in rates.items():
+        matrix[link] = rate
+    cfg = dataclasses.replace(
+        cfg, max_arrivals=max_arrivals, max_rate=cfg.max_rate * factor,
+        arrival_rates=matrix,
+    )
+    states = tuple(dataclasses.replace(s, rates=s.rates * factor) for s in cm.states)
+    cm = dataclasses.replace(cm, states=states)
+    assert cm.validate_against(cfg) == []
+    return cfg, cm
+
+
 def _engine_case(case):
     """(cfg, cm, policy params, run keyword arguments) of one engine check."""
     cfg, cm = reference_scenario()
@@ -505,6 +620,19 @@ def _engine_case(case):
     if case == "binomial":
         cfg = dataclasses.replace(cfg, max_arrivals=2)
         return cfg, cm, {"eps_s": 0.1}, {"horizon": 1500, "arrival_law": "binomial"}
+    if case == "binomial_rates":  # p = 0.2 / 3, 2 / 3 (drawn as 3 - X(1/3)) and 1
+        cfg, cm = _wide_binomial(cfg, cm, 3, 4, {(0, 0): 3.0, (1, 2): 2.0})
+        return cfg, cm, {"eps_s": 0.1}, {"horizon": 600, "arrival_law": "binomial"}
+    if case == "binomial_regime":
+        cfg = dataclasses.replace(cfg, max_arrivals=2)
+        regime = RegimeSchedule(changes=((151, 0.5), (251, 1.5)))
+        kwargs = {"horizon": 400, "regime": regime, "arrival_law": "binomial"}
+        return cfg, cm, {"eps_s": 0.1}, kwargs
+    if case == "binomial_btpe":  # rate 20 of 80 by inversion, then 40 by BTPE
+        cfg, cm = _wide_binomial(cfg, cm, 80, 40, {(0, 0): 20.0})
+        regime = RegimeSchedule(changes=((201, 2.0),))
+        kwargs = {"horizon": 400, "regime": regime, "arrival_law": "binomial"}
+        return cfg, cm, {"eps_s": 0.1}, kwargs
     if case == "reference_regime":
         scenario = load_scenario(bundled_scenario_path("reference_regime"))
         regime = RegimeSchedule(changes=((151, 0.5), (251, 1.5)))
@@ -514,7 +642,15 @@ def _engine_case(case):
     return cfg, cm, {"eps_s": 0.1}, {"horizon": 600}
 
 
-ENGINE_CASES = ["reference", "binomial", "reference_regime", "explicit"]
+ENGINE_CASES = [
+    "reference",
+    "binomial",
+    "binomial_rates",
+    "binomial_regime",
+    "binomial_btpe",
+    "reference_regime",
+    "explicit",
+]
 
 
 @pytest.mark.parametrize("case", ENGINE_CASES)
