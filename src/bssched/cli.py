@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -487,6 +486,10 @@ def cmd_run(args) -> int:
 
     seed_args = [(scenario, s, horizon, str(out_dir)) for s in seeds]
     if args.jobs > 1:
+        # imported here: concurrent.futures and multiprocessing cost a serial
+        # run tens of milliseconds of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_one_seed, *zip(*seed_args)))
     else:

@@ -1,14 +1,18 @@
 """Scheduling policies: activation control plus Max-Weight rate allocation.
 
 An activation is an integer id, its row in ``enumerate_activations`` (all
-ON is 2**M - 1). ``reset(j0)`` takes the id before the first slot, and the
-one ``step(t, q, h_index, arrivals, rng)`` returns the slot's id, service
-and explore flag: each policy picks the activation in ``_activation``, and
-``_serve`` serves the pre-arrival queues (the engine applies departures
-before arrivals). ``q`` and ``arrivals`` are the engine's flat lists of
-queue lengths and of the slot's arrivals, one int per (station, user) pair
-in row-major order, and a service is a list of (link, rate) pairs into
-``q``, at most one per serving station.
+ON is 2**M - 1). ``reset(j0)`` takes the id before the first slot. A slot
+has two time scales, and a policy one method for each. ``step(t, h_index,
+arrivals, rng)`` makes the slot's draws, which read no queue: it returns
+the activation id each policy picks in ``_activation``, the explore flag
+and, for ``static_split_static`` only, the service drawn from the planned
+alpha. ``max_weight(q, j, h_index)`` serves the pre-arrival queues
+otherwise (the engine applies departures before arrivals). ``q`` and
+``arrivals`` are the engine's flat lists of queue lengths and of the
+slot's arrivals, one int per (station, user) pair in row-major order, and
+a service is a list of (link, rate) pairs into ``q``, at most one per
+serving station. A policy whose ``step`` reads no arrivals and draws at
+most ``max_step_draws`` uniforms lets the engine draw its slots in blocks.
 
 ``max_weight(q, j, h)`` is the Max-Weight rule over R(j, h). Under
 one_user_per_station it splits by station (Tassiulas & Ephremides 1992):
@@ -17,7 +21,8 @@ q * r, or idles when that maximum is 0, so no region is enumerated. An
 ``explicit`` region has no such split, and the method runs the module's
 ``max_weight(q, region)`` over the region's members.
 
-Randomness is consumed from the generator passed into ``step`` in a fixed
+Randomness is consumed from the uniform source passed into ``step`` (the
+generator, or the engine's block of uniforms drawn from it) in a fixed
 documented order (resample coin, then the optional activation draw, then
 the explore coin for the learning policies, then ``static_split_static``'s
 rate draw), so runs are reproducible for a given seed. The optional
@@ -128,10 +133,13 @@ class Policy:
     ``lp_solves``, ``lp_warm_solves`` and ``lp_pivots`` count the policy's
     own LP solves, those answered from a warm start, and their pivots.
     A policy with estimates sets both ``mu_hat`` and ``lambda_hat`` and
-    counts their changes in ``estimate_version``.
+    counts their changes in ``estimate_version``. ``max_step_draws`` is the
+    most uniforms ``step`` consumes in a slot without reading the arrivals,
+    or None when the count depends on what the policy has learned.
     """
 
     name = "policy"
+    max_step_draws: int | None = None
     mu_hat: np.ndarray | None = None
     lambda_hat: np.ndarray | None = None
     solution: LpSolution | None = None
@@ -195,25 +203,18 @@ class Policy:
         return True
 
     def step(
-        self,
-        t: int,
-        q: list[int],
-        h_index: int,
-        arrivals: list[int],
-        rng: np.random.Generator,
-    ) -> tuple[int, list[tuple[int, int]], bool]:
-        """(activation id, service, explore flag) for slot t."""
+        self, t: int, h_index: int, arrivals: list[int] | None, rng
+    ) -> tuple[int, bool, list[tuple[int, int]] | None]:
+        """Slot t's draws, none of which reads the queues: (activation id,
+        explore flag, service), where the service is None for a policy that
+        serves by ``max_weight`` and the drawn (link, rate) pairs otherwise."""
         j, explore = self._activation(t, h_index, arrivals, rng)
         self._j = j
-        return j, self._serve(q, j, h_index, rng), explore
+        return j, explore, None
 
     def _activation(self, t, h_index, arrivals, rng) -> tuple[int, bool]:
         """(activation id, explore flag) for slot t."""
         raise NotImplementedError
-
-    def _serve(self, q, j, h_index, rng) -> list[tuple[int, int]]:
-        """The slot's service: Max-Weight unless the policy draws it."""
-        return self.max_weight(q, j, h_index)
 
     def max_weight(self, q: list[int], j: int, h_index: int) -> list[tuple[int, int]]:
         """The first member of R(j, h_index) maximizing the weight q * r,
@@ -245,6 +246,7 @@ class AlwaysOnMaxWeight(Policy):
     """Keep every station active and serve by Max-Weight."""
 
     name = "always_on"
+    max_step_draws = 0
 
     def __init__(self, cfg, cm):
         super().__init__(cfg, cm)
@@ -264,6 +266,7 @@ class StaticSplitMaxWeight(Policy):
     """
 
     name = "static_split_mw"
+    max_step_draws = 2  # resample coin and activation
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, min_switch_gap, eps_g=eps_g)
@@ -295,15 +298,17 @@ class StaticSplitStatic(StaticSplitMaxWeight):
     """
 
     name = "static_split_static"
+    max_step_draws = 3  # and the rate member
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, eps_g, min_switch_gap)
         alpha = beta_to_alpha(self.problem, self.solution)
         self._alpha_cdf = {key: np.cumsum(pmf).tolist() for key, pmf in alpha.items()}
 
-    def _serve(self, q, j, h_index, rng):
-        region = self.regions[j][h_index]
-        return _pairs(region[draw_channel_index(self._alpha_cdf[(j, h_index)], rng)])
+    def step(self, t, h_index, arrivals, rng):
+        j, explore, _ = super().step(t, h_index, arrivals, rng)
+        member = draw_channel_index(self._alpha_cdf[(j, h_index)], rng)
+        return j, explore, _pairs(self.regions[j][h_index][member])
 
 
 class LearningMaxWeight(Policy):

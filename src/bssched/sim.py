@@ -8,21 +8,30 @@ pre-arrival queue the policy weighted, so Q(t+1) = Q(t) - departures +
 A(t). The cost of every (previous, current) pair of activation ids is
 tabulated once per run and read after the loop.
 
-Inside the loop the queues are a flat list of Python ints, one per
-(station, user) pair in row-major order, and the policy's service is a
-list of (link, rate) pairs, so the queue update, the total queue and its
-sum of squares take no numpy call; each slot's figures are written into
-the trace's preallocated arrays.
+No draw reads the queues: only ``Policy.max_weight`` does. So ``run``
+takes the slots in blocks of ``BLOCK_SLOTS``, split at regime changes, in
+two passes. Pass 1 makes each slot's draws: the arrivals, the channel
+state and ``Policy.step`` (the activation, the explore flag and any drawn
+service). Pass 2 is the one serve-and-queue loop for every policy: it
+serves by ``Policy.max_weight`` unless the service was drawn, on a flat
+list of Python ints, one per (station, user) pair in row-major order, so
+the queue update, the total queue and its sum of squares take no numpy
+call.
 
 All randomness comes from a single generator with a fixed draw order per
 slot: the arrivals first, then one uniform for the channel state, then
 whatever the policy consumes. Identical configuration and seed give
-byte-identical traces.
+byte-identical traces, and blocks change no draw. With Bernoulli arrivals
+and a policy that bounds its draws (``Policy.max_step_draws``), pass 1
+draws the block's uniforms at once, hands them out in that order, and
+gathers the arrivals in numpy; the generator then moves by exactly the
+uniforms used. The learning policies and binomial arrivals draw slot by
+slot, since what they consume depends on estimates or on restarts.
 
 The arrivals are computed per link from the uniforms numpy's own
 samplers would consume, in row-major link order, so the stream is the
 one ``rng.random((M, n)) < rates`` or ``rng.binomial(max_arrivals, rates
-/ max_arrivals)`` gives. Bernoulli arrivals draw all M * n uniforms and
+/ max_arrivals)`` gives. Bernoulli arrivals take all M * n uniforms and
 test the adjacency links. Binomial arrivals port numpy's inversion
 sampler: a link with p = 0 takes no uniform, p > 0.5 draws n - X(1 - p),
 and each draw takes one uniform plus one per restart. A regime in which
@@ -36,6 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,6 +63,7 @@ if TYPE_CHECKING:  # policies imports draw_channel_index from this module
     from .policies import Policy
 
 ARRIVAL_LAWS = ("bernoulli", "binomial")
+BLOCK_SLOTS = 1024  # slots per block: pass 1 draws them all, then pass 2 serves
 
 
 @dataclass(frozen=True)
@@ -226,6 +237,65 @@ def arrival_errors(
     ]
 
 
+def _queue_matrix(q0) -> np.ndarray | None:
+    """``q0`` as an int64 array, or None if some entry is not a whole number
+    that int64 holds."""
+    q = np.asarray(q0)
+    if q.dtype.kind not in "biuf" or (q.dtype.kind == "f" and not (abs(q) < 2.0**63).all()):
+        return None
+    whole = q.astype(np.int64)
+    return whole if np.array_equal(whole, q) else None
+
+
+class _Uniforms:
+    """A block of uniforms drawn ahead, handed out in stream order by
+    ``random()`` as the generator would; ``at`` is the next one's index."""
+
+    __slots__ = ("values", "at")
+
+    def __init__(self, values: np.ndarray):
+        self.values = memoryview(values)  # indexing gives Python floats
+        self.at = 0
+
+    def random(self) -> float:
+        at = self.at
+        self.at = at + 1
+        return self.values[at]
+
+
+def _predrawn_slots(policy, t0, t1, rng, cum_pmf, size, table):
+    """Pass 1 of slots t0..t1 - 1 from one block of uniforms: each slot's
+    (h, j, explore, drawn service) record, and the arrivals as (link, 1)
+    pairs with each slot's bounds into them.
+
+    The block holds as many uniforms as the slots could consume. A scalar
+    scan hands them out in stream order and notes where each slot's M * n
+    arrival uniforms start; the arrivals are then gathered in numpy.
+    Afterwards the generator is put back and moved by exactly the uniforms
+    used, so the stream continues where a slot-by-slot run leaves it.
+    """
+    saved = rng.bit_generator.state
+    u = rng.random((t1 - t0) * (size + 1 + policy.max_step_draws))
+    uniforms = _Uniforms(u)
+    step = policy.step
+    starts, slots = [], []
+    for t in range(t0, t1):
+        at = uniforms.at
+        starts.append(at)
+        uniforms.at = at + size  # the arrival uniforms are read in numpy below
+        h = draw_channel_index(cum_pmf, uniforms)
+        slots.append((h, *step(t, h, None, uniforms)))
+    rng.bit_generator.state = saved
+    rng.random(uniforms.at)
+
+    links = np.array([k for k, _ in table], dtype=np.intp)
+    rates = np.array([rate for _, rate in table])
+    slot, col = np.nonzero(u[np.add.outer(starts, links)] < rates)
+    arrived = list(zip(links[col].tolist(), repeat(1)))
+    bounds = np.searchsorted(slot, np.arange(t1 - t0 + 1)).tolist()
+    return slots, arrived, bounds
+
+
 def run(
     cfg: NetworkConfig,
     cm: ChannelModel,
@@ -243,10 +313,11 @@ def run(
     Arrivals are i.i.d. per link with mean arrival_rates (times the regime
     scale): Bernoulli by default, or binomial(max_arrivals, rate /
     max_arrivals). ``j0`` is the activation before the first slot (all ON
-    by default) and ``q0`` the initial queue matrix (empty by default).
-    Pass either a seed or an existing generator; a shared generator lets
-    the caller make policy-construction draws part of the same stream.
-    Every input, each regime scale included, is checked before slot 1.
+    by default) and ``q0`` the initial queue matrix of whole numbers (empty
+    by default). Pass either a seed or an existing generator; a shared
+    generator lets the caller make policy-construction draws part of the
+    same stream. Every input, each regime scale included, is checked
+    before slot 1.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -254,9 +325,9 @@ def run(
         rng = np.random.default_rng(seed)
 
     shape = (cfg.n_stations, cfg.n_users)
-    q = np.zeros(shape, dtype=np.int64) if q0 is None else np.array(q0, dtype=np.int64)
-    if q.shape != shape or np.any(q < 0):
-        raise ValueError("q0 must be a nonnegative matrix of shape (M, n)")
+    q = np.zeros(shape, dtype=np.int64) if q0 is None else _queue_matrix(q0)
+    if q is None or q.shape != shape or np.any(q < 0):
+        raise ValueError("q0 must be a nonnegative integer matrix of shape (M, n)")
     j0 = all_on(cfg.n_stations) if j0 is None else np.asarray(j0)
     if j0.shape != (cfg.n_stations,) or not np.isin(j0, (0, 1)).all():
         raise ValueError("j0 must be a 0/1 vector of length M")
@@ -286,6 +357,7 @@ def run(
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
     has_estimates = policy.mu_hat is not None
+    predraw = arrival_law == "bernoulli" and policy.max_step_draws is not None
 
     trace = SimTrace(
         policy_name=policy.name,
@@ -300,59 +372,77 @@ def run(
         lambda_err=np.full(horizon, np.nan),
         final_queues=q,
     )
-    total_queue, v_quad, served = trace.total_queue, trace.v_quad, trace.served
-    j_bits, explore_flags = trace.j_bits, trace.explore
-    mu_err, lambda_err = trace.mu_err, trace.lambda_err
+    step, serve = policy.step, policy.max_weight
 
     q = q.ravel().tolist()  # flat Python ints from here on
     total = sum(q)
     v = sum(x * x for x in q)
-    for t in range(1, horizon + 1):
-        if t in regimes:
-            rates_now, table, btpe = regimes[t]
+    t0 = 1
+    while t0 <= horizon:
+        # pass 1: the block's draws, none of which reads the queues
+        if t0 in regimes:
+            rates_now, table, btpe = regimes[t0]
             seen_version = None  # lambda_err is against the new rates
-        if arrival_law == "bernoulli":
-            u = rng.random(size).tolist()
-            arrived = [(k, 1) for k, rate in table if u[k] < rate]
-        elif btpe is None:
-            arrived = _inversion_arrivals(n_max, table, rng)
+            end = min([s for s in regimes if s > t0], default=horizon + 1)
+        t1 = min(t0 + BLOCK_SLOTS, end, horizon + 1)
+        if predraw:
+            slots, arrived, bounds = _predrawn_slots(
+                policy, t0, t1, rng, cum_pmf, size, table
+            )
         else:
-            counts = rng.binomial(n_max, btpe).tolist()
-            arrived = [(k, x) for k, x in zip(links, counts) if x]
-        a = [0] * size
-        for link, n_new in arrived:
-            a[link] = n_new
-        h_index = draw_channel_index(cum_pmf, rng)
+            slots, arrived, bounds = [], [], [0]
+            for t in range(t0, t1):
+                if arrival_law == "bernoulli":
+                    u = rng.random(size).tolist()
+                    new = [(k, 1) for k, rate in table if u[k] < rate]
+                elif btpe is None:
+                    new = _inversion_arrivals(n_max, table, rng)
+                else:
+                    counts = rng.binomial(n_max, btpe).tolist()
+                    new = [(k, x) for k, x in zip(links, counts) if x]
+                a = [0] * size
+                for link, n_new in new:
+                    a[link] = n_new
+                h = draw_channel_index(cum_pmf, rng)
+                slots.append((h, *step(t, h, a, rng)))
+                arrived += new
+                bounds.append(len(arrived))
+                if has_estimates:  # they change only with the estimates or rates
+                    if policy.estimate_version != seen_version:
+                        seen_version = policy.estimate_version
+                        mu_e = float(np.abs(policy.mu_hat - true_mu).sum())
+                        lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
+                    trace.mu_err[t - 1] = mu_e
+                    trace.lambda_err[t - 1] = lambda_e
 
-        j, service, explore = policy.step(t, q, h_index, a, rng)
-
-        i = t - 1
-        total_queue[i] = total
-        v_quad[i] = v
-        j_bits[i] = j
-        explore_flags[i] = explore
-        if has_estimates:  # the errors change only with the estimates or rates
-            if policy.estimate_version != seen_version:
-                seen_version = policy.estimate_version
-                mu_e = float(np.abs(policy.mu_hat - true_mu).sum())
-                lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
-            mu_err[i] = mu_e
-            lambda_err[i] = lambda_e
-
-        departed = 0
-        for link, rate in service:
-            x = q[link]
-            d = rate if rate < x else x
-            q[link] = x - d
-            v -= d * (x + x - d)
-            departed += d
-        served[i] = departed
-        total -= departed
-        for link, n_new in arrived:
-            x = q[link]
-            q[link] = x + n_new
-            v += n_new * (x + x + n_new)
-            total += n_new
+        # pass 2: serve and update the queues, slot by slot
+        totals, squares, departures = [], [], []
+        for (h, j, _, service), lo, hi in zip(slots, bounds, bounds[1:]):
+            totals.append(total)
+            squares.append(v)
+            if service is None:
+                service = serve(q, j, h)
+            departed = 0
+            for link, rate in service:
+                x = q[link]
+                d = rate if rate < x else x
+                q[link] = x - d
+                v -= d * (x + x - d)
+                departed += d
+            departures.append(departed)
+            total -= departed
+            for link, n_new in arrived[lo:hi]:
+                x = q[link]
+                q[link] = x + n_new
+                v += n_new * (x + x + n_new)
+                total += n_new
+        block = slice(t0 - 1, t1 - 1)
+        trace.total_queue[block] = totals
+        trace.v_quad[block] = squares
+        trace.served[block] = departures
+        trace.j_bits[block] = [record[1] for record in slots]
+        trace.explore[block] = [record[2] for record in slots]
+        t0 = t1
 
     trace.cost = cost[np.concatenate(([j0_id], trace.j_bits[:-1])), trace.j_bits]
     trace.final_queues = np.array(q, dtype=np.int64).reshape(shape)

@@ -112,7 +112,9 @@ def test_explicit_region_keeps_its_order_for_empty_queues():
     assert max_weight(q, full_region(cm, cfg, 0)) == 0
     policy = AlwaysOnMaxWeight(cfg, cm)
     flat = q.ravel().tolist()
-    _, service, _ = policy.step(1, flat, 0, flat, np.random.default_rng(0))
+    j, _, drawn = policy.step(1, 0, flat, np.random.default_rng(0))
+    assert drawn is None
+    service = policy.max_weight(flat, j, 0)
     s = service_matrix(service, q.shape)
     assert s.tolist() == [[1, 0]]
     next_q, departures = step_queues(q, s, q)
@@ -313,10 +315,9 @@ def test_min_switch_gap_enforces_exact_spacing(reference):
     policy = StaticSplitMaxWeight(cfg, cm, eps_s=1.0, eps_g=0.05, min_switch_gap=10)
     policy.reset(0b111)
     rng = np.random.default_rng(0)
-    q = [0] * 15
     a = [0] * 15
     for t in range(1, 101):
-        policy.step(t, q, 0, a, rng)
+        policy.step(t, 0, a, rng)
     # resamples land exactly at t = 1, 11, 21, ..., 91
     assert policy.resample_count == 10
     assert policy._last_switch == 91
@@ -342,14 +343,13 @@ class _CountingUniform:
 
 def test_min_switch_gap_consumes_no_uniform_while_gated(reference):
     cfg, cm = reference
-    q = [0] * 15
     a = [0] * 15
 
     gated = StaticSplitMaxWeight(cfg, cm, eps_s=1.0, eps_g=0.05, min_switch_gap=10)
     gated.reset(0b111)
     stub = _CountingUniform()
     for t in range(1, 21):
-        gated.step(t, q, 0, a, stub)
+        gated.step(t, 0, a, stub)
     # two uniforms (coin + draw) at t = 1 and t = 11, none in between
     assert stub.calls == 4
 
@@ -357,7 +357,7 @@ def test_min_switch_gap_consumes_no_uniform_while_gated(reference):
     free.reset(0b111)
     stub = _CountingUniform()
     for t in range(1, 21):
-        free.step(t, q, 0, a, stub)
+        free.step(t, 0, a, stub)
     assert stub.calls == 40
 
 
@@ -442,7 +442,8 @@ def test_activation_dominates_baseline(reference):
     for t in range(1, 1501):
         a = (rng.random((3, 5)) < rates).astype(np.int64)
         h = min(int(np.searchsorted(cum, rng.random(), side="right")), cm.n_states - 1)
-        j, service, _ = policy.step(t, q.ravel().tolist(), h, a.ravel().tolist(), rng)
+        j, _, _ = policy.step(t, h, a.ravel().tolist(), rng)
+        service = policy.max_weight(q.ravel().tolist(), j, h)
         assert j & policy.j_tilde == policy.j_tilde  # every baseline station is on
         q, _ = step_queues(q, service_matrix(service, q.shape), a)
 
@@ -611,8 +612,7 @@ def test_update_arrivals_every_slot(reference):
         "algorithm1", cfg, cm, rng, params={"update_arrivals_every_slot": True}
     )
     a = adjacency_matrix(cfg, 1.0).astype(np.int64)
-    q = [0] * 15
-    policy.step(1, q, 0, a.ravel().tolist(), rng)
+    policy.step(1, 0, a.ravel().tolist(), rng)
     assert np.array_equal(policy.lambda_hat, a)
     assert not policy.mu_hat.any()
 

@@ -16,6 +16,7 @@ from bssched.policies import (
     StaticSplitMaxWeight,
     make_policy,
 )
+from bssched import sim
 from bssched.rateregion import EXPLICIT, ChannelModel, ChannelState, full_region
 from bssched.sim import (
     ARRIVAL_LAWS,
@@ -105,6 +106,20 @@ def test_q0_validation(reference):
         run(cfg, cm, policy, horizon=5, seed=0, q0=-np.ones((3, 5), dtype=np.int64))
     with pytest.raises(ValueError, match="q0"):
         run(cfg, cm, policy, horizon=5, seed=0, q0=np.zeros((2, 5), dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [1.7, np.nan, np.inf, 2.0**63])
+def test_q0_must_hold_whole_numbers(reference, bad):
+    """A fractional, NaN, infinite or out-of-range entry is rejected, not
+    truncated; whole floats are taken as the integers they hold."""
+    cfg, cm = reference
+    policy = AlwaysOnMaxWeight(cfg, cm)
+    q0 = np.ones((3, 5))
+    q0[1, 2] = bad
+    with pytest.raises(ValueError, match="q0"):
+        run(cfg, cm, policy, horizon=5, seed=0, q0=q0)
+    whole = run(cfg, cm, policy, horizon=5, seed=0, q0=np.full((3, 5), 2.0))
+    assert whole.total_queue[0] == 30
 
 
 @pytest.mark.parametrize("name", ["always_on", "static_split_mw"])
@@ -638,6 +653,15 @@ def _engine_case(case):
         regime = RegimeSchedule(changes=((151, 0.5), (251, 1.5)))
         kwargs = {"horizon": 400, "regime": regime}
         return scenario.cfg, scenario.cm, scenario.policy_params, kwargs
+    if case == "switch_gap":
+        return cfg, cm, {"eps_s": 0.3, "min_switch_gap": 3}, {"horizon": 600}
+    if case == "block_regime":  # one change inside a block, one on a boundary
+        regime = RegimeSchedule(changes=((10, 0.5), (2 * SMALL_BLOCK + 1, 1.5)))
+        return cfg, cm, {"eps_s": 0.3}, {"horizon": 60, "regime": regime}
+    if case.startswith("block_horizon"):
+        horizon = SMALL_BLOCK + int(case.rsplit("_", 1)[1])
+        q0 = np.full((3, 5), 2)
+        return cfg, cm, {"eps_s": 0.3}, {"horizon": horizon, "q0": q0}
     cfg, cm = _explicit_reference()
     return cfg, cm, {"eps_s": 0.1}, {"horizon": 600}
 
@@ -650,20 +674,32 @@ ENGINE_CASES = [
     "binomial_btpe",
     "reference_regime",
     "explicit",
+    "switch_gap",
+    "block_regime",
+    "block_horizon_-1",
+    "block_horizon_0",
+    "block_horizon_1",
 ]
+SMALL_BLOCK = 16  # BLOCK_SLOTS in the "block_*" cases
 
 
 @pytest.mark.parametrize("case", ENGINE_CASES)
 @pytest.mark.parametrize("name", POLICY_NAMES)
-def test_run_equals_the_region_based_reference_engine(name, case):
-    """Per-station service on flat int queues gives the trace of Max-Weight
-    over R(j, h) on a numpy queue matrix, field by field."""
+def test_run_equals_the_region_based_reference_engine(name, case, monkeypatch):
+    """Per-station service on flat int queues, with the slots' draws made
+    in blocks, gives the trace of Max-Weight over R(j, h) on a numpy queue
+    matrix, field by field, and leaves the generator where the slot-by-slot
+    reference leaves it."""
     cfg, cm, params, kwargs = _engine_case(case)
-    traces = []
+    if case.startswith("block_"):
+        monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+    traces, next_uniforms = [], []
     for engine in (run, reference_run):
         rng = np.random.default_rng(3)
         policy = make_policy(name, cfg, cm, rng, params)
         traces.append(engine(cfg, cm, policy, rng=rng, **kwargs))
+        next_uniforms.append(rng.random())
+    assert next_uniforms[0] == next_uniforms[1]
     fast, slow = traces
     for field in dataclasses.fields(SimTrace):
         expected = getattr(slow, field.name)
@@ -673,3 +709,55 @@ def test_run_equals_the_region_based_reference_engine(name, case):
         np.testing.assert_array_equal(got, expected, err_msg=field.name)
     assert fast.served.any()
     assert name != "algorithm1" or fast.explore.any()
+
+
+@pytest.mark.parametrize(
+    "name, law, blocks",
+    [
+        ("always_on", "bernoulli", 3),
+        ("static_split_mw", "bernoulli", 3),
+        ("static_split_static", "bernoulli", 3),
+        ("static_split_mw", "binomial", 0),
+        ("algorithm1", "bernoulli", 0),
+    ],
+)
+def test_which_runs_predraw_their_blocks(reference, monkeypatch, name, law, blocks):
+    """Policies with bounded draws under Bernoulli arrivals take each block's
+    uniforms at once; learning policies and binomial arrivals draw slot by
+    slot."""
+    cfg, cm = reference
+    if law == "binomial":
+        cfg = dataclasses.replace(cfg, max_arrivals=2)
+    calls = []
+    predrawn = sim._predrawn_slots
+
+    def counted(*args):
+        calls.append(args)
+        return predrawn(*args)
+
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+    monkeypatch.setattr(sim, "_predrawn_slots", counted)
+    rng = np.random.default_rng(0)
+    policy = make_policy(name, cfg, cm, rng, {"eps_s": 0.3})
+    run(cfg, cm, policy, horizon=2 * SMALL_BLOCK + 1, rng=rng, arrival_law=law)
+    assert len(calls) == blocks
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_block_draws_leave_any_bit_generator_where_slots_would(
+    reference, monkeypatch, bit_generator
+):
+    """The generator is put back and moved by the uniforms used, whatever its
+    bit generator."""
+    cfg, cm = reference
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+    traces, next_uniforms = [], []
+    for engine in (run, reference_run):
+        rng = np.random.Generator(bit_generator(5))
+        policy = make_policy("static_split_static", cfg, cm, rng, {"eps_s": 0.3})
+        traces.append(engine(cfg, cm, policy, horizon=3 * SMALL_BLOCK, rng=rng))
+        next_uniforms.append(rng.random())
+    assert next_uniforms[0] == next_uniforms[1]
+    np.testing.assert_array_equal(traces[0].j_bits, traces[1].j_bits)
+    np.testing.assert_array_equal(traces[0].total_queue, traces[1].total_queue)
+    np.testing.assert_array_equal(traces[0].final_queues, traces[1].final_queues)
