@@ -30,11 +30,10 @@ from .markov import (
 from .model import (
     NetworkConfig,
     activation_id,
-    all_off,
     all_on,
     enumerate_activations,
     network_cost,
-    step_queues,
+    on_stations,
 )
 from .policies import (
     POLICY_DEFAULTS,
@@ -89,7 +88,6 @@ __all__ = [
     "StaticSplitMaxWeight",
     "StaticSplitStatic",
     "activation_id",
-    "all_off",
     "all_on",
     "beta_to_alpha",
     "build_lp",
@@ -103,6 +101,7 @@ __all__ = [
     "marginal_deviation_bound",
     "max_weight",
     "network_cost",
+    "on_stations",
     "p_sigma_eps",
     "perturb_cost",
     "region_index",
@@ -113,7 +112,6 @@ __all__ = [
     "stability_fraction",
     "station_options",
     "stationary_distribution",
-    "step_queues",
     "tau1",
     "tau1_series_bound",
     "tau1_series_sum",

@@ -123,7 +123,8 @@ def build_lp(
     a.flags.writeable = b.flags.writeable = False
 
     base_cost = np.zeros(dim)
-    base_cost[:n_act] = [network_cost(j, j, cfg) for j in activations]
+    ids = np.arange(n_act)
+    base_cost[:n_act] = network_cost(ids, ids, cfg)
 
     return LpProblem(
         cfg=cfg,

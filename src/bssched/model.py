@@ -1,10 +1,16 @@
-"""Core network model: configuration, activation vectors, queue dynamics, cost.
+"""Core network model: configuration, activations and their cost.
 
 The system is a discrete-time downlink with ``n_stations`` base stations and
 ``n_users`` mobiles. A station-user pair (m, u) is a link only if it appears
 in the adjacency list; every link keeps its own packet queue at the station.
 Per slot the order of events is: packet arrivals, station activation or
 deactivation, channel observation, rate allocation, transmissions.
+
+An activation is an integer id whose bits are the stations' ON flags,
+station 0 the most significant: station m is ON in id j iff bit
+M - 1 - m of j is set, so all ON is 2**M - 1. This module is the only one
+that writes or reads those bits (``activation_id``, ``on_stations``,
+``network_cost``).
 """
 
 from __future__ import annotations
@@ -108,10 +114,6 @@ def all_on(n_stations: int) -> np.ndarray:
     return np.ones(n_stations, dtype=np.int64)
 
 
-def all_off(n_stations: int) -> np.ndarray:
-    return np.zeros(n_stations, dtype=np.int64)
-
-
 def enumerate_activations(n_stations: int) -> np.ndarray:
     """All 2**M activation vectors, shape (2**M, M).
 
@@ -131,34 +133,32 @@ def activation_id(j: np.ndarray) -> int:
     return out
 
 
-def network_cost(j_prev: np.ndarray, j: np.ndarray, cfg: NetworkConfig) -> float:
-    """Per-slot activation cost for moving from ``j_prev`` to ``j``.
+def on_stations(j: int, n_stations: int) -> list[int]:
+    """The ON stations of activation id ``j``, in ascending order."""
+    return [m for m in range(n_stations) if j >> (n_stations - 1 - m) & 1]
 
-    Cost = switch_off_cost * #(ON -> OFF) + active_cost * #ON
-         + switch_on_cost * #(OFF -> ON) + sleep_cost * #OFF.
+
+def _ones(ids: np.ndarray) -> np.ndarray:
+    """Set bits per id, as int64: numpy's uint8 counts would wrap under an
+    int cost coefficient."""
+    return np.bitwise_count(ids).astype(np.int64)
+
+
+def network_cost(j_prev, j, cfg: NetworkConfig):
+    """Per-slot activation cost for moving from id ``j_prev`` to id ``j``.
+
+    Takes ints or int arrays of ids, elementwise, and prices from the
+    popcounts of the ids' masks:
+
+    Cost = switch_off_cost * |j_prev & ~j| + active_cost * |j|
+         + switch_on_cost * |j & ~j_prev| + sleep_cost * (M - |j|).
     """
-    j_prev = np.asarray(j_prev)
-    j = np.asarray(j)
-    turned_off = int(np.sum(np.maximum(j_prev - j, 0)))
-    turned_on = int(np.sum(np.maximum(j - j_prev, 0)))
-    on = int(np.sum(j))
-    off = cfg.n_stations - on
+    j_prev = np.asarray(j_prev, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    on = _ones(j)
     return (
-        cfg.switch_off_cost * turned_off
+        cfg.switch_off_cost * _ones(j_prev & ~j)
         + cfg.active_cost * on
-        + cfg.switch_on_cost * turned_on
-        + cfg.sleep_cost * off
+        + cfg.switch_on_cost * _ones(j & ~j_prev)
+        + cfg.sleep_cost * (cfg.n_stations - on)
     )
-
-
-def step_queues(
-    q: np.ndarray, s: np.ndarray, a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One queue update. Departures are capped by queue content.
-
-    Returns (next_q, departures) with
-    departures = min(s, q) and next_q = q - departures + a.
-    Conservation: next_q.sum() == q.sum() - departures.sum() + a.sum().
-    """
-    departures = np.minimum(s, q)
-    return q - departures + a, departures

@@ -1,18 +1,21 @@
 """Scheduling policies: activation control plus Max-Weight rate allocation.
 
-An activation is an integer id, its row in ``enumerate_activations`` (all
-ON is 2**M - 1). ``reset(j0)`` takes the id before the first slot. A slot
-has two time scales, and a policy one method for each. ``step(t, h_index,
-arrivals, rng)`` makes the slot's draws, which read no queue: it returns
-the activation id each policy picks in ``_activation``, the explore flag
-and, for ``static_split_static`` only, the service drawn from the planned
-alpha. ``max_weight(q, j, h_index)`` serves the pre-arrival queues
-otherwise (the engine applies departures before arrivals). ``q`` and
-``arrivals`` are the engine's flat lists of queue lengths and of the
-slot's arrivals, one int per (station, user) pair in row-major order, and
-a service is a list of (link, rate) pairs into ``q``, at most one per
-serving station. A policy whose ``step`` reads no arrivals and draws at
-most ``max_step_draws`` uniforms lets the engine draw its slots in blocks.
+An activation is an integer id, encoded as ``model`` documents (all ON
+is 2**M - 1); ``model.on_stations`` decodes an id's ON stations the
+first time ``max_weight`` serves it. ``reset(j0)`` takes the id before
+the first slot. A slot has two time scales, and a policy one method for
+each. ``step(t, h_index, arrivals, rng)`` makes the slot's draws, which
+read no queue: it returns the activation id each policy picks in
+``_activation``, the explore flag and, for ``static_split_static`` only,
+the service drawn from the planned alpha. ``max_weight(q, j, h_index)``
+serves the pre-arrival queues otherwise (the engine applies departures
+before arrivals). ``q`` and ``arrivals`` are the engine's flat lists of
+queue lengths and of the slot's arrivals, one int per (station, user)
+pair in row-major order (``arrivals`` is None for a policy without
+estimates, which never reads it), and a service is a list of (link,
+rate) pairs into ``q``, at most one per serving station. A policy whose
+``step`` reads no arrivals and draws at most ``max_step_draws`` uniforms
+lets the engine draw its slots in blocks.
 
 ``max_weight(q, j, h)`` is the Max-Weight rule over R(j, h). Under
 one_user_per_station it splits by station (Tassiulas & Ephremides 1992):
@@ -38,7 +41,7 @@ import numbers
 import numpy as np
 
 from .lp import LpSolution, beta_to_alpha, build_lp, perturb_cost, solve_lp
-from .model import NetworkConfig
+from .model import NetworkConfig, on_stations
 from .rateregion import EXPLICIT, ChannelModel, full_region, station_options
 from .sim import draw_channel_index
 
@@ -167,11 +170,7 @@ class Policy:
         self._options = None  # per state and station, under one_user_per_station
         if cm.interference != EXPLICIT:
             self._options = [station_options(cm, cfg, h) for h in range(cm.n_states)]
-            m_max = cfg.n_stations - 1
-            self._on = [
-                [m for m in range(cfg.n_stations) if j >> (m_max - m) & 1]
-                for j in range(self._all_on + 1)
-            ]
+            self._on: dict[int, list[int]] = {}  # ON stations per id served
         self.reset(self._all_on)
 
     def reset(self, j0: int) -> None:
@@ -230,8 +229,12 @@ class Policy:
             queues = np.reshape(np.asarray(q, dtype=np.int64), region.shape[1:])
             return _pairs(region[max_weight(queues, region)])
         options = self._options[h_index]
+        try:
+            on = self._on[j]
+        except KeyError:
+            on = self._on[j] = on_stations(j, self.cfg.n_stations)
         service = []
-        for m in self._on[j]:
+        for m in on:
             best, weight = None, 0
             for option in options[m]:
                 w = q[option[0]] * option[1]

@@ -5,8 +5,8 @@ activation id and the slot's service from R(j, h) for the observed
 channel state, transmissions depart (capped by queue content), and the
 slot's arrivals join the queues. The queue recorded for slot t is the
 pre-arrival queue the policy weighted, so Q(t+1) = Q(t) - departures +
-A(t). The cost of every (previous, current) pair of activation ids is
-tabulated once per run and read after the loop.
+A(t). Each slot's cost is priced after the loop, from the trace's
+activation ids in one ``network_cost`` call.
 
 No draw reads the queues: only ``Policy.max_weight`` does. So ``run``
 takes the slots in blocks of ``BLOCK_SLOTS``, split at regime changes, in
@@ -50,13 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import (
-    NetworkConfig,
-    activation_id,
-    all_on,
-    enumerate_activations,
-    network_cost,
-)
+from .model import NetworkConfig, activation_id, all_on, network_cost
 from .rateregion import ChannelModel
 
 if TYPE_CHECKING:  # policies imports draw_channel_index from this module
@@ -86,15 +80,6 @@ class RegimeSchedule:
         # written so that NaN fails
         if any(not 0 < scale < np.inf for _, scale in self.changes):
             raise ValueError("regime scales must be positive and finite")
-
-    def scale_at(self, t: int) -> float:
-        scale = 1.0
-        for start, value in self.changes:
-            if t >= start:
-                scale = value
-            else:
-                break
-        return scale
 
     def boundaries(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.changes)
@@ -142,11 +127,6 @@ class SimTrace:
         t = np.arange(1, self.horizon + 1)
         lo = np.maximum(t - window, 0)
         return (csum[t] - csum[lo]) / (t - lo)
-
-    def occupancy(self) -> dict[int, float]:
-        """Fraction of slots spent in each activation (by id)."""
-        ids, counts = np.unique(self.j_bits, return_counts=True)
-        return {int(i): float(c) / self.horizon for i, c in zip(ids, counts)}
 
 
 def draw_channel_index(cum_pmf: list[float], rng: np.random.Generator) -> int:
@@ -336,8 +316,6 @@ def run(
         raise ValueError(errors[0])
     j0_id = activation_id(j0)
     policy.reset(j0_id)
-    acts = enumerate_activations(cfg.n_stations)
-    cost = np.array([[network_cost(a, b, cfg) for b in acts] for a in acts])
 
     size = cfg.n_stations * cfg.n_users
     n_max = cfg.max_arrivals
@@ -400,9 +378,11 @@ def run(
                 else:
                     counts = rng.binomial(n_max, btpe).tolist()
                     new = [(k, x) for k, x in zip(links, counts) if x]
-                a = [0] * size
-                for link, n_new in new:
-                    a[link] = n_new
+                a = None
+                if has_estimates:  # only the learning policies read it
+                    a = [0] * size
+                    for link, n_new in new:
+                        a[link] = n_new
                 h = draw_channel_index(cum_pmf, rng)
                 slots.append((h, *step(t, h, a, rng)))
                 arrived += new
@@ -444,7 +424,8 @@ def run(
         trace.explore[block] = [record[2] for record in slots]
         t0 = t1
 
-    trace.cost = cost[np.concatenate(([j0_id], trace.j_bits[:-1])), trace.j_bits]
+    previous = np.concatenate(([j0_id], trace.j_bits[:-1]))
+    trace.cost = network_cost(previous, trace.j_bits, cfg)
     trace.final_queues = np.array(q, dtype=np.int64).reshape(shape)
     return trace
 

@@ -23,10 +23,59 @@ from bssched import (
     build_lp,
     enumerate_activations,
     max_weight,
-    network_cost,
     region_index,
-    step_queues,
 )
+
+# ---------------------------------------------------------------------------
+# Model and trace helpers
+# ---------------------------------------------------------------------------
+
+
+def all_off(n_stations):
+    return np.zeros(n_stations, dtype=np.int64)
+
+
+def vector_network_cost(j_prev, j, cfg):
+    """Activation cost from ``j_prev`` to ``j`` on 0/1 vectors, counted
+    elementwise instead of from the bits of activation ids."""
+    j_prev = np.asarray(j_prev)
+    j = np.asarray(j)
+    turned_off = int(np.sum(np.maximum(j_prev - j, 0)))
+    turned_on = int(np.sum(np.maximum(j - j_prev, 0)))
+    on = int(np.sum(j))
+    off = cfg.n_stations - on
+    return (
+        cfg.switch_off_cost * turned_off
+        + cfg.active_cost * on
+        + cfg.switch_on_cost * turned_on
+        + cfg.sleep_cost * off
+    )
+
+
+def step_queues(q, s, a):
+    """One queue update on matrices: departures = min(s, q) and
+    next_q = q - departures + a. Returns (next_q, departures)."""
+    departures = np.minimum(s, q)
+    return q - departures + a, departures
+
+
+def scale_at(regime, t):
+    """The arrival scale ``regime`` applies at slot t, by a scan of its
+    changes (1.0 before the first)."""
+    scale = 1.0
+    for start, value in regime.changes:
+        if t >= start:
+            scale = value
+        else:
+            break
+    return scale
+
+
+def occupancy(trace):
+    """Fraction of a trace's slots spent in each activation id."""
+    ids, counts = np.unique(trace.j_bits, return_counts=True)
+    return {int(i): float(c) / trace.horizon for i, c in zip(ids, counts)}
+
 
 # ---------------------------------------------------------------------------
 # Linear programming
@@ -254,8 +303,9 @@ def reference_run(
     q0=None, arrival_law="bernoulli",
 ):
     """``sim.run`` by the region-based slot loop: Max-Weight is
-    ``max_weight`` over the member array R(j, h) of ``region_index``, and
-    the queues are a numpy matrix updated by ``step_queues``.
+    ``max_weight`` over the member array R(j, h) of ``region_index``, the
+    queues are a numpy matrix updated by ``step_queues``, and each slot is
+    priced by ``vector_network_cost``.
 
     The draw order is the engine's: the arrival matrix, the channel-state
     uniform, then the policy's activation draws and, for
@@ -293,7 +343,7 @@ def reference_run(
     )
     previous = j0_id
     for t in range(1, horizon + 1):
-        rates_now = base_rates * (1.0 if regime is None else regime.scale_at(t))
+        rates_now = base_rates * (1.0 if regime is None else scale_at(regime, t))
         if arrival_law == "bernoulli":
             a = (rng.random(shape) < rates_now).astype(np.int64)
         else:
@@ -311,7 +361,7 @@ def reference_run(
         i = t - 1
         trace.total_queue[i] = q.sum()
         trace.v_quad[i] = int((q * q).sum())
-        trace.cost[i] = network_cost(acts[previous], acts[j], cfg)
+        trace.cost[i] = vector_network_cost(acts[previous], acts[j], cfg)
         trace.j_bits[i] = j
         trace.explore[i] = explore
         if policy.mu_hat is not None:

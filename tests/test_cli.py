@@ -752,7 +752,7 @@ def test_run_regime_scenario(tmp_path):
     )
     # the bundled regime switch at slot 50001 exceeds a 200-slot override,
     # which the scenario file itself allows; the run must still work because
-    # scale_at simply never reaches the change
+    # the run ends before the slot of the change
     assert code == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["regimes"] == [[50001, 0.5]]

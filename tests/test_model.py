@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssched import (
     NetworkConfig,
     activation_id,
-    all_off,
     all_on,
     enumerate_activations,
     network_cost,
-    step_queues,
 )
+
+from oracles import all_off, step_queues, vector_network_cost
 
 
 def small_cfg(**overrides):
@@ -128,32 +130,32 @@ def test_all_on_off_helpers():
 def test_cost_switch_off_plus_active():
     cfg = small_cfg()
     # one station turns off, two stay on
-    assert network_cost(np.array([1, 1, 0]), np.array([0, 1, 1]), cfg) == 3.0
+    assert network_cost(activation_id([1, 1, 0]), activation_id([0, 1, 1]), cfg) == 3.0
 
 
 def test_cost_all_off_is_zero_with_defaults():
     cfg = small_cfg()
     z = np.zeros(3, dtype=int)
-    assert network_cost(z, z, cfg) == 0.0
+    assert network_cost(activation_id(z), activation_id(z), cfg) == 0.0
 
 
 def test_cost_sleep_term():
     cfg = small_cfg(sleep_cost=2.0)
     z = np.zeros(3, dtype=int)
-    assert network_cost(z, z, cfg) == 6.0
+    assert network_cost(activation_id(z), activation_id(z), cfg) == 6.0
 
 
 def test_cost_full_shutdown():
     cfg = small_cfg(switch_off_cost=1.0, active_cost=0.0)
-    assert network_cost(all_on(3), all_off(3), cfg) == 3.0
+    assert network_cost(activation_id(all_on(3)), activation_id(all_off(3)), cfg) == 3.0
 
 
 def test_cost_extended_terms():
     cfg = small_cfg(
         switch_off_cost=2.0, active_cost=3.0, switch_on_cost=5.0, sleep_cost=7.0
     )
-    prev = np.array([1, 0, 0])
-    cur = np.array([0, 1, 1])
+    prev = activation_id([1, 0, 0])
+    cur = activation_id([0, 1, 1])
     # 1 off-switch, 2 on-switches, 2 active, 1 sleeping
     assert network_cost(prev, cur, cfg) == 2.0 + 5.0 * 2 + 3.0 * 2 + 7.0
 
@@ -163,10 +165,47 @@ def test_cost_nonnegative_and_zero_only_when_everything_off():
     acts = enumerate_activations(3)
     for prev in acts:
         for cur in acts:
-            c = network_cost(prev, cur, cfg)
+            c = network_cost(activation_id(prev), activation_id(cur), cfg)
             assert c >= 0.0
             if c == 0.0:
                 assert cur.sum() == 0 and np.all(prev <= cur)
+
+
+# up to 1e300, so that no cost sum overflows
+COST = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    costs=st.tuples(COST, COST, COST, COST),
+    data=st.data(),
+)
+def test_cost_on_ids_equals_the_vector_cost_bit_for_bit(m, costs, data):
+    """Pricing from the ids' popcounts gives the elementwise count on 0/1
+    vectors exactly: every (prev, j) pair up to M = 5, sampled pairs above."""
+    names = ("switch_off_cost", "active_cost", "switch_on_cost", "sleep_cost")
+    cfg = small_cfg(
+        n_stations=m,
+        adjacency=((0, 0),),
+        arrival_rates=np.zeros((m, 2)),
+        **dict(zip(names, costs)),
+    )
+    acts = enumerate_activations(m)
+    n_act = len(acts)
+    if m <= 5:
+        prev, cur = np.divmod(np.arange(n_act * n_act), n_act)
+    else:
+        ids = st.integers(0, n_act - 1)
+        pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=200))
+        prev, cur = np.array(pairs).T
+    expected = np.array(
+        [vector_network_cost(acts[a], acts[b], cfg) for a, b in zip(prev, cur)],
+        dtype=float,
+    )
+    got = np.asarray(network_cost(prev, cur, cfg), dtype=float)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert network_cost(int(prev[0]), int(cur[0]), cfg) == expected[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bssched.policies as policies_module
 from bssched.cli import bundled_scenario_path, load_scenario, reference_scenario
-from bssched.model import NetworkConfig, activation_id, step_queues
+from bssched.model import NetworkConfig, activation_id
 from bssched.policies import (
     POLICY_NAMES,
     AlwaysOnMaxWeight,
@@ -29,7 +29,7 @@ from bssched.rateregion import (
 )
 from bssched.sim import run, stability_fraction
 
-from oracles import brute_force_max_weight
+from oracles import brute_force_max_weight, occupancy, step_queues
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_always_on_pays_full_activity_cost(reference):
     assert np.all(trace.j_bits == 7)
     assert np.all(trace.cost == 3.0)
     assert trace.avg_cost == 3.0
-    assert trace.occupancy() == {7: 1.0}
+    assert occupancy(trace) == {7: 1.0}
     assert not trace.explore.any()
 
 
@@ -272,7 +272,7 @@ def test_resample_frequency_matches_eps_s(split_trace_100k):
 def test_occupancy_tracks_planned_distribution(split_trace_100k):
     policy, trace = split_trace_100k
     freq = np.zeros(len(policy.problem.activations))
-    for bits, fraction in trace.occupancy().items():
+    for bits, fraction in occupancy(trace).items():
         freq[bits] = fraction
     assert np.abs(freq - policy.sigma_star).sum() <= 0.05
 

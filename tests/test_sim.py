@@ -31,7 +31,7 @@ from bssched.sim import (
     stability_fraction,
 )
 
-from oracles import reference_run
+from oracles import occupancy, reference_run, scale_at
 
 
 @pytest.fixture(scope="module")
@@ -389,12 +389,12 @@ def test_regime_schedule_validation():
 
 def test_regime_scale_at_boundaries():
     regime = RegimeSchedule(changes=((10, 2.0), (20, 0.5)))
-    assert regime.scale_at(1) == 1.0
-    assert regime.scale_at(9) == 1.0
-    assert regime.scale_at(10) == 2.0
-    assert regime.scale_at(19) == 2.0
-    assert regime.scale_at(20) == 0.5
-    assert regime.scale_at(10**6) == 0.5
+    assert scale_at(regime, 1) == 1.0
+    assert scale_at(regime, 9) == 1.0
+    assert scale_at(regime, 10) == 2.0
+    assert scale_at(regime, 19) == 2.0
+    assert scale_at(regime, 20) == 0.5
+    assert scale_at(regime, 10**6) == 0.5
     assert regime.boundaries() == (10, 20)
 
 
@@ -457,9 +457,41 @@ def test_occupancy_sums_to_one(reference):
     cfg, cm = reference
     policy = StaticSplitMaxWeight(cfg, cm, eps_s=0.3, eps_g=0.05)
     trace = run(cfg, cm, policy, horizon=2000, seed=10)
-    occ = trace.occupancy()
+    occ = occupancy(trace)
     assert sum(occ.values()) == pytest.approx(1.0)
     assert all(0 <= bits <= 7 for bits in occ)
+
+
+def test_always_on_runs_at_sixteen_stations():
+    """Nothing in the engine is sized 2**M or 4**M: 16 stations, each with
+    three of 32 users, run 500 slots and pay 16 * active in every slot."""
+    n_stations, n_users = 16, 32
+    adjacency = tuple(
+        (m, u % n_users) for m in range(n_stations) for u in (2 * m, 2 * m + 1, 2 * m + 2)
+    )
+    rates = np.zeros((n_stations, n_users))
+    for m, u in adjacency:
+        rates[m, u] = 0.1
+    cfg = NetworkConfig(
+        n_users=n_users,
+        n_stations=n_stations,
+        adjacency=adjacency,
+        arrival_rates=rates,
+        max_rate=2,
+        active_cost=1.3,
+    )
+    draw = np.random.default_rng(0)
+    states = []
+    for h in range(4):
+        state_rates = np.zeros((n_stations, n_users), dtype=np.int64)
+        for m, u in adjacency:
+            state_rates[m, u] = draw.integers(1, 3)
+        states.append(ChannelState(name=f"h{h}", rates=state_rates))
+    cm = ChannelModel(states=tuple(states), pmf=np.full(4, 0.25))
+    trace = run(cfg, cm, AlwaysOnMaxWeight(cfg, cm), horizon=500, seed=0)
+    assert np.all(trace.cost == 16 * 1.3)
+    assert np.all(trace.j_bits == 2**16 - 1)
+    assert trace.served.sum() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +685,9 @@ def _engine_case(case):
         regime = RegimeSchedule(changes=((151, 0.5), (251, 1.5)))
         kwargs = {"horizon": 400, "regime": regime}
         return scenario.cfg, scenario.cm, scenario.policy_params, kwargs
+    if case == "extended_costs":  # every cost term priced, activations switching
+        costs = {"switch_on_cost": 0.45, "sleep_cost": 0.2, "active_cost": 1.3}
+        return dataclasses.replace(cfg, **costs), cm, {"eps_s": 0.3}, {"horizon": 600}
     if case == "switch_gap":
         return cfg, cm, {"eps_s": 0.3, "min_switch_gap": 3}, {"horizon": 600}
     if case == "block_regime":  # one change inside a block, one on a boundary
@@ -675,6 +710,7 @@ ENGINE_CASES = [
     "reference_regime",
     "explicit",
     "switch_gap",
+    "extended_costs",
     "block_regime",
     "block_horizon_-1",
     "block_horizon_0",
