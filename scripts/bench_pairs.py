@@ -12,8 +12,10 @@ existing directories. For each workload the two sides run one after the
 other for the given number of pairs, ``before`` first in even pairs and
 ``after`` first in odd ones. Both sides of pair i run with ``--seed i``, so
 the pairs span benchmark seeds. Every run's final JSON line is kept as
-printed; a run that reports ``"correct": false`` or a failed command stops
-the script with exit status 1, naming the workload and side. The summary
+printed. A run that reports ``"correct": false`` or a failed command, exits
+non-zero or ends on a line that is not JSON stops the script with exit
+status 1, naming the workload, pair and side; a run that did not report
+also shows its exit code and last output lines. The summary
 gives, per end-to-end metric, the median and quartile spread of each side
 and the number of pairs the ``after`` side won (lower is better for every
 metric).
@@ -44,13 +46,29 @@ def checkout(spec: str, scratch: Path) -> Path:
     return target
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float):
+    """The run's final JSON line as a dict, or None if it exited non-zero or
+    ended on anything else, with the finished process."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, check=True, capture_output=True, text=True,
+        cwd=root, capture_output=True, text=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    return (result if isinstance(result, dict) else None), proc
+
+
+def last_lines(proc: subprocess.CompletedProcess, count: int = 10) -> list[str]:
+    """The last ``count`` lines of each of the run's output streams."""
+    out = []
+    for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+        tail = text.strip().splitlines()[-count:]
+        out += [f"{stream}: {line}" for line in tail]
+    return out
 
 
 def spread(values: list[float]) -> dict:
@@ -101,10 +119,15 @@ def main() -> int:
                 order = ("before", "after") if i % 2 == 0 else ("after", "before")
                 pair = {}
                 for side in order:
-                    result = run_once(roots[side], workload, i, args.seconds)
+                    result, proc = run_once(roots[side], workload, i, args.seconds)
+                    label = f"{workload} pair {i + 1}, {side} side ({getattr(args, side)})"
+                    if result is None:
+                        print(f"{label}: exit code {proc.returncode}, no JSON result; "
+                              "last output lines:", *last_lines(proc),
+                              sep="\n  ", file=sys.stderr)
+                        return 1
                     if not result["correct"] or result["failed"] > 0:
-                        print(f"{workload} pair {i + 1}, {side} side "
-                              f"({getattr(args, side)}): correct {result['correct']}, "
+                        print(f"{label}: correct {result['correct']}, "
                               f"{result['failed']} of {result['attempted']} commands "
                               "failed", file=sys.stderr)
                         return 1

@@ -9,13 +9,14 @@ read no queue: it returns the activation id each policy picks in
 ``_activation``, the explore flag and, for ``static_split_static`` only,
 the service drawn from the planned alpha. ``max_weight(q, j, h_index)``
 serves the pre-arrival queues otherwise (the engine applies departures
-before arrivals). ``q`` and ``arrivals`` are the engine's flat lists of
-queue lengths and of the slot's arrivals, one int per (station, user)
-pair in row-major order (``arrivals`` is None for a policy without
-estimates, which never reads it), and a service is a list of (link,
-rate) pairs into ``q``, at most one per serving station. A policy whose
-``step`` reads no arrivals and draws at most ``max_step_draws`` uniforms
-lets the engine draw its slots in blocks.
+before arrivals). ``q`` is the engine's flat list of queue lengths, one
+int per (station, user) pair in row-major order, and ``arrivals`` holds
+the slot's arrivals in the same order: a bool array under Bernoulli
+arrivals, a list of ints under binomial ones, and None for a policy
+without estimates, which never reads it. A service is a list of (link,
+rate) pairs into ``q``, at most one per serving station. No ``step``
+draws more than ``Policy.max_step_draws`` uniforms, so the engine can
+draw a block of slots ahead.
 
 ``max_weight(q, j, h)`` is the Max-Weight rule over R(j, h). Under
 one_user_per_station it splits by station (Tassiulas & Ephremides 1992):
@@ -137,12 +138,12 @@ class Policy:
     own LP solves, those answered from a warm start, and their pivots.
     A policy with estimates sets both ``mu_hat`` and ``lambda_hat`` and
     counts their changes in ``estimate_version``. ``max_step_draws`` is the
-    most uniforms ``step`` consumes in a slot without reading the arrivals,
-    or None when the count depends on what the policy has learned.
+    most uniforms any policy's ``step`` consumes in a slot: the resample
+    coin, the activation, then the explore coin or the rate member.
     """
 
     name = "policy"
-    max_step_draws: int | None = None
+    max_step_draws = 3
     mu_hat: np.ndarray | None = None
     lambda_hat: np.ndarray | None = None
     solution: LpSolution | None = None
@@ -249,7 +250,6 @@ class AlwaysOnMaxWeight(Policy):
     """Keep every station active and serve by Max-Weight."""
 
     name = "always_on"
-    max_step_draws = 0
 
     def __init__(self, cfg, cm):
         super().__init__(cfg, cm)
@@ -269,7 +269,6 @@ class StaticSplitMaxWeight(Policy):
     """
 
     name = "static_split_mw"
-    max_step_draws = 2  # resample coin and activation
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, min_switch_gap, eps_g=eps_g)
@@ -301,7 +300,6 @@ class StaticSplitStatic(StaticSplitMaxWeight):
     """
 
     name = "static_split_static"
-    max_step_draws = 3  # and the rate member
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, eps_g, min_switch_gap)

@@ -22,11 +22,12 @@ All randomness comes from a single generator with a fixed draw order per
 slot: the arrivals first, then one uniform for the channel state, then
 whatever the policy consumes. Identical configuration and seed give
 byte-identical traces, and blocks change no draw. With Bernoulli arrivals
-and a policy that bounds its draws (``Policy.max_step_draws``), pass 1
-draws the block's uniforms at once, hands them out in that order, and
-gathers the arrivals in numpy; the generator then moves by exactly the
-uniforms used. The learning policies and binomial arrivals draw slot by
-slot, since what they consume depends on estimates or on restarts.
+pass 1 draws as many uniforms as the block's slots could take (no
+``step`` takes more than ``Policy.max_step_draws``) in one call, hands
+them out in that order, and gathers the arrivals in numpy; a policy with
+estimates reads its slot's arrivals from the same uniforms. The generator
+then moves by exactly the uniforms used. Binomial arrivals draw slot by
+slot, since a restart takes a uniform more.
 
 The arrivals are computed per link from the uniforms numpy's own
 samplers would consume, in row-major link order, so the stream is the
@@ -243,39 +244,6 @@ class _Uniforms:
         return self.values[at]
 
 
-def _predrawn_slots(policy, t0, t1, rng, cum_pmf, size, table):
-    """Pass 1 of slots t0..t1 - 1 from one block of uniforms: each slot's
-    (h, j, explore, drawn service) record, and the arrivals as (link, 1)
-    pairs with each slot's bounds into them.
-
-    The block holds as many uniforms as the slots could consume. A scalar
-    scan hands them out in stream order and notes where each slot's M * n
-    arrival uniforms start; the arrivals are then gathered in numpy.
-    Afterwards the generator is put back and moved by exactly the uniforms
-    used, so the stream continues where a slot-by-slot run leaves it.
-    """
-    saved = rng.bit_generator.state
-    u = rng.random((t1 - t0) * (size + 1 + policy.max_step_draws))
-    uniforms = _Uniforms(u)
-    step = policy.step
-    starts, slots = [], []
-    for t in range(t0, t1):
-        at = uniforms.at
-        starts.append(at)
-        uniforms.at = at + size  # the arrival uniforms are read in numpy below
-        h = draw_channel_index(cum_pmf, uniforms)
-        slots.append((h, *step(t, h, None, uniforms)))
-    rng.bit_generator.state = saved
-    rng.random(uniforms.at)
-
-    links = np.array([k for k, _ in table], dtype=np.intp)
-    rates = np.array([rate for _, rate in table])
-    slot, col = np.nonzero(u[np.add.outer(starts, links)] < rates)
-    arrived = list(zip(links[col].tolist(), repeat(1)))
-    bounds = np.searchsorted(slot, np.arange(t1 - t0 + 1)).tolist()
-    return slots, arrived, bounds
-
-
 def run(
     cfg: NetworkConfig,
     cm: ChannelModel,
@@ -319,15 +287,17 @@ def run(
 
     size = cfg.n_stations * cfg.n_users
     n_max = cfg.max_arrivals
+    bernoulli = arrival_law == "bernoulli"
     # numpy draws in row-major order, so the links are taken in that order
     links = sorted(m * cfg.n_users + u for m, u in cfg.adjacency)
-    regimes = {}  # start slot: (rates, Bernoulli or inversion table, BTPE p)
+    link_array = np.array(links, dtype=np.intp)
+    regimes = {}  # start slot: (rates, Bernoulli link rates or inversion table, BTPE p)
     for start, scale in _scales(regime).items():
         rates = np.asarray(cfg.arrival_rates, dtype=float) * scale
-        flat = rates.ravel().tolist()
-        if arrival_law == "bernoulli":
-            regimes[start] = (rates, [(k, flat[k]) for k in links], None)
+        if bernoulli:
+            regimes[start] = (rates, rates.ravel()[link_array], None)
             continue
+        flat = rates.ravel().tolist()
         probs = [(k, flat[k] / n_max) for k in links]
         table = _inversion_table(n_max, probs)
         btpe = None if table is not None else np.array([p for _, p in probs])
@@ -335,7 +305,6 @@ def run(
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
     has_estimates = policy.mu_hat is not None
-    predraw = arrival_law == "bernoulli" and policy.max_step_draws is not None
 
     trace = SimTrace(
         policy_name=policy.name,
@@ -360,40 +329,52 @@ def run(
         # pass 1: the block's draws, none of which reads the queues
         if t0 in regimes:
             rates_now, table, btpe = regimes[t0]
+            flat_rates = rates_now.ravel()
             seen_version = None  # lambda_err is against the new rates
             end = min([s for s in regimes if s > t0], default=horizon + 1)
         t1 = min(t0 + BLOCK_SLOTS, end, horizon + 1)
-        if predraw:
-            slots, arrived, bounds = _predrawn_slots(
-                policy, t0, t1, rng, cum_pmf, size, table
-            )
-        else:
-            slots, arrived, bounds = [], [], [0]
-            for t in range(t0, t1):
-                if arrival_law == "bernoulli":
-                    u = rng.random(size).tolist()
-                    new = [(k, 1) for k, rate in table if u[k] < rate]
-                elif btpe is None:
+        slots, arrived, bounds = [], [], [0]
+        source = rng
+        if bernoulli:  # every uniform the block's slots could take, at once
+            saved = rng.bit_generator.state
+            u = rng.random((t1 - t0) * (size + 1 + policy.max_step_draws))
+            source = _Uniforms(u)
+            starts = []
+        for t in range(t0, t1):
+            a = None
+            if bernoulli:  # the arrivals are gathered in numpy after the loop
+                at = source.at
+                starts.append(at)
+                source.at = at + size
+                if has_estimates:  # only the learning policies read them
+                    a = u[at : at + size] < flat_rates
+            else:
+                if btpe is None:
                     new = _inversion_arrivals(n_max, table, rng)
                 else:
                     counts = rng.binomial(n_max, btpe).tolist()
                     new = [(k, x) for k, x in zip(links, counts) if x]
-                a = None
-                if has_estimates:  # only the learning policies read it
+                arrived += new
+                bounds.append(len(arrived))
+                if has_estimates:
                     a = [0] * size
                     for link, n_new in new:
                         a[link] = n_new
-                h = draw_channel_index(cum_pmf, rng)
-                slots.append((h, *step(t, h, a, rng)))
-                arrived += new
-                bounds.append(len(arrived))
-                if has_estimates:  # they change only with the estimates or rates
-                    if policy.estimate_version != seen_version:
-                        seen_version = policy.estimate_version
-                        mu_e = float(np.abs(policy.mu_hat - true_mu).sum())
-                        lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
-                    trace.mu_err[t - 1] = mu_e
-                    trace.lambda_err[t - 1] = lambda_e
+            h = draw_channel_index(cum_pmf, source)
+            slots.append((h, *step(t, h, a, source)))
+            if has_estimates:  # they change only with the estimates or rates
+                if policy.estimate_version != seen_version:
+                    seen_version = policy.estimate_version
+                    mu_e = float(np.abs(policy.mu_hat - true_mu).sum())
+                    lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
+                trace.mu_err[t - 1] = mu_e
+                trace.lambda_err[t - 1] = lambda_e
+        if bernoulli:  # put the generator back, moved by the uniforms used
+            rng.bit_generator.state = saved
+            rng.random(source.at)
+            slot, col = np.nonzero(u[np.add.outer(starts, link_array)] < table)
+            arrived = list(zip(link_array[col].tolist(), repeat(1)))
+            bounds = np.searchsorted(slot, np.arange(t1 - t0 + 1)).tolist()
 
         # pass 2: serve and update the queues, slot by slot
         totals, squares, departures = [], [], []

@@ -690,9 +690,11 @@ def _engine_case(case):
         return dataclasses.replace(cfg, **costs), cm, {"eps_s": 0.3}, {"horizon": 600}
     if case == "switch_gap":
         return cfg, cm, {"eps_s": 0.3, "min_switch_gap": 3}, {"horizon": 600}
-    if case == "block_regime":  # one change inside a block, one on a boundary
+    if case in ("block_regime", "block_every_slot"):
+        # one change inside a block, one on a block boundary
         regime = RegimeSchedule(changes=((10, 0.5), (2 * SMALL_BLOCK + 1, 1.5)))
-        return cfg, cm, {"eps_s": 0.3}, {"horizon": 60, "regime": regime}
+        params = {"eps_s": 0.3, "update_arrivals_every_slot": case == "block_every_slot"}
+        return cfg, cm, params, {"horizon": 60, "regime": regime}
     if case.startswith("block_horizon"):
         horizon = SMALL_BLOCK + int(case.rsplit("_", 1)[1])
         q0 = np.full((3, 5), 2)
@@ -712,6 +714,7 @@ ENGINE_CASES = [
     "switch_gap",
     "extended_costs",
     "block_regime",
+    "block_every_slot",
     "block_horizon_-1",
     "block_horizon_0",
     "block_horizon_1",
@@ -754,43 +757,54 @@ def test_run_equals_the_region_based_reference_engine(name, case, monkeypatch):
         ("static_split_mw", "bernoulli", 3),
         ("static_split_static", "bernoulli", 3),
         ("static_split_mw", "binomial", 0),
-        ("algorithm1", "bernoulli", 0),
+        ("algorithm1", "bernoulli", 3),
+        ("algorithm1_tracking", "bernoulli", 3),
     ],
 )
 def test_which_runs_predraw_their_blocks(reference, monkeypatch, name, law, blocks):
-    """Policies with bounded draws under Bernoulli arrivals take each block's
-    uniforms at once; learning policies and binomial arrivals draw slot by
-    slot."""
+    """Every policy under Bernoulli arrivals takes each block's uniforms at
+    once; binomial arrivals draw slot by slot."""
     cfg, cm = reference
     if law == "binomial":
         cfg = dataclasses.replace(cfg, max_arrivals=2)
     calls = []
-    predrawn = sim._predrawn_slots
+    uniforms = sim._Uniforms
 
-    def counted(*args):
-        calls.append(args)
-        return predrawn(*args)
+    def counted(values):
+        calls.append(len(values))
+        return uniforms(values)
 
     monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
-    monkeypatch.setattr(sim, "_predrawn_slots", counted)
+    monkeypatch.setattr(sim, "_Uniforms", counted)
     rng = np.random.default_rng(0)
     policy = make_policy(name, cfg, cm, rng, {"eps_s": 0.3})
     run(cfg, cm, policy, horizon=2 * SMALL_BLOCK + 1, rng=rng, arrival_law=law)
     assert len(calls) == blocks
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+@pytest.mark.parametrize(
+    "bit_generator, name",
+    [
+        (np.random.MT19937, "static_split_static"),
+        (np.random.Philox, "static_split_static"),
+        (np.random.MT19937, "algorithm1_tracking"),
+        (np.random.Philox, "algorithm1_tracking"),
+    ],
+    ids=["MT19937", "Philox", "MT19937-algorithm1_tracking", "Philox-algorithm1_tracking"],
+)
 def test_block_draws_leave_any_bit_generator_where_slots_would(
-    reference, monkeypatch, bit_generator
+    reference, monkeypatch, bit_generator, name
 ):
     """The generator is put back and moved by the uniforms used, whatever its
-    bit generator."""
+    bit generator, also for a learning policy whose draws follow its
+    estimates."""
     cfg, cm = reference
     monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+    params = {"eps_s": 0.3, "update_arrivals_every_slot": True}  # static ones ignore it
     traces, next_uniforms = [], []
     for engine in (run, reference_run):
         rng = np.random.Generator(bit_generator(5))
-        policy = make_policy("static_split_static", cfg, cm, rng, {"eps_s": 0.3})
+        policy = make_policy(name, cfg, cm, rng, params)
         traces.append(engine(cfg, cm, policy, horizon=3 * SMALL_BLOCK, rng=rng))
         next_uniforms.append(rng.random())
     assert next_uniforms[0] == next_uniforms[1]
