@@ -12,7 +12,6 @@ failure, 3 infeasible planning LP.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -45,6 +44,7 @@ CSV_COLUMNS = (
     "mu_hat_err",
     "lambda_hat_err",
 )
+CSV_ROW = "%d,%d,%.10g,%.10g,%.10g,%d,%d,%.10g,%.10g\r\n"  # one slot, in CSV_COLUMNS order
 CSV_BLOCK = 128  # rows formatted at a time
 
 
@@ -310,31 +310,20 @@ def reference_scenario() -> tuple[NetworkConfig, ChannelModel]:
 
 
 def _write_csv(path: Path, trace, window: int) -> None:
-    """One row per slot, written ``CSV_BLOCK`` rows at a time: each column
-    of a block is converted once with ``tolist()``, the float columns are
-    formatted to 10 significant digits, and the rows go out in one
-    ``writerows``. Blocks keep memory flat at any horizon."""
-    avg = trace.running_avg_cost()
-    windowed = trace.windowed_cost(window)
-    as_text = "{:.10g}".format
+    """One ``CSV_ROW`` per slot under a ``CSV_COLUMNS`` header, CRLF line ends:
+    ints as ``%d`` (the explore flag as 0/1), floats as ``%.10g`` (NaN as
+    ``nan``). Rows go out ``CSV_BLOCK`` at a time, each column of a block
+    converted once with ``tolist()``, so memory stays flat at any horizon."""
+    columns = (
+        trace.total_queue, trace.cost, trace.running_avg_cost(), trace.windowed_cost(window),
+        trace.j_bits, trace.explore, trace.mu_err, trace.lambda_err,
+    )
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for lo in range(0, trace.horizon, CSV_BLOCK):
-            rows = slice(lo, lo + CSV_BLOCK)
-            writer.writerows(
-                zip(
-                    range(lo + 1, lo + CSV_BLOCK + 1),  # zip stops at the last slot
-                    trace.total_queue[rows].tolist(),
-                    map(as_text, trace.cost[rows].tolist()),
-                    map(as_text, avg[rows].tolist()),
-                    map(as_text, windowed[rows].tolist()),
-                    trace.j_bits[rows].tolist(),
-                    map(int, trace.explore[rows].tolist()),
-                    map(as_text, trace.mu_err[rows].tolist()),
-                    map(as_text, trace.lambda_err[rows].tolist()),
-                )
-            )
+            block = [column[lo : lo + CSV_BLOCK].tolist() for column in columns]
+            slots = range(lo + 1, lo + CSV_BLOCK + 1)  # zip stops at the last slot
+            fh.write("".join(CSV_ROW % row for row in zip(slots, *block)))
 
 
 def _run_one_seed(scenario: Scenario, seed: int, horizon: int, out_dir: str):

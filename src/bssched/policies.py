@@ -307,7 +307,8 @@ class StaticSplitStatic(StaticSplitMaxWeight):
         self._alpha_cdf = {key: np.cumsum(pmf).tolist() for key, pmf in alpha.items()}
 
     def step(self, t, h_index, arrivals, rng):
-        j, explore, _ = super().step(t, h_index, arrivals, rng)
+        j, explore = self._activation(t, h_index, arrivals, rng)
+        self._j = j
         member = draw_channel_index(self._alpha_cdf[(j, h_index)], rng)
         return j, explore, _pairs(self.regions[j][h_index][member])
 

@@ -47,6 +47,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,8 +75,8 @@ class RegimeSchedule:
 
     def __post_init__(self):
         starts = [s for s, _ in self.changes]
-        if any(s < 1 for s in starts):
-            raise ValueError("regime start slots are 1-based")
+        if any(isinstance(s, bool) or not isinstance(s, Integral) or s < 1 for s in starts):
+            raise ValueError("regime start slots must be 1-based integers")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError("regime start slots must be strictly increasing")
         # written so that NaN fails
@@ -124,6 +125,8 @@ class SimTrace:
 
     def windowed_cost(self, window: int = 200) -> np.ndarray:
         """Mean cost over the trailing ``window`` slots (shorter at the start)."""
+        if window < 1:
+            raise ValueError("window must be >= 1")
         csum = np.concatenate([[0.0], np.cumsum(self.cost)])
         t = np.arange(1, self.horizon + 1)
         lo = np.maximum(t - window, 0)

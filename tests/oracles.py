@@ -6,6 +6,7 @@ counting), so agreement between the two is real evidence and not a
 tautology.
 """
 
+import csv
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from bssched import (
     max_weight,
     region_index,
 )
+from bssched.cli import CSV_COLUMNS
 
 # ---------------------------------------------------------------------------
 # Model and trace helpers
@@ -75,6 +77,32 @@ def occupancy(trace):
     """Fraction of a trace's slots spent in each activation id."""
     ids, counts = np.unique(trace.j_bits, return_counts=True)
     return {int(i): float(c) / trace.horizon for i, c in zip(ids, counts)}
+
+
+def csv_module_write(path, trace, window):
+    """The run CSV through the ``csv`` module, one ``writerow`` per slot:
+    ints by ``str``, the explore flag by ``int``, floats by
+    ``"{:.10g}".format``."""
+    as_text = "{:.10g}".format
+    avg = trace.running_avg_cost()
+    windowed = trace.windowed_cost(window)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for i in range(trace.horizon):
+            writer.writerow(
+                [
+                    i + 1,
+                    int(trace.total_queue[i]),
+                    as_text(float(trace.cost[i])),
+                    as_text(float(avg[i])),
+                    as_text(float(windowed[i])),
+                    int(trace.j_bits[i]),
+                    int(trace.explore[i]),
+                    as_text(float(trace.mu_err[i])),
+                    as_text(float(trace.lambda_err[i])),
+                ]
+            )
 
 
 # ---------------------------------------------------------------------------

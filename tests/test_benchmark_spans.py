@@ -4,7 +4,7 @@
 whose function was renamed or moved reads 0 instead of failing. One traced
 1-slot ``static_split_mw`` run must record a span for each name below,
 count a positive number of region members, and show the simplex called
-from ``lp.solve_lp``.
+from ``lp.solve_lp``. A policy's slot is one ``policies.step`` span.
 """
 
 import json
@@ -29,9 +29,11 @@ TRACED_NAMES = (
 )
 
 
-def test_traced_run_records_every_metric_span(tmp_path):
+def traced_run(tmp_path, policy: str, horizon: int) -> tuple[dict, dict]:
+    """Span file of a traced ``bssched run`` of ``policy`` on ``reference``,
+    and the number of spans per name."""
     scenario = json.loads(bundled_scenario_path("reference").read_text())
-    scenario["policy"] = {"name": "static_split_mw"}
+    scenario["policy"] = {"name": policy}
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(scenario))
     spans = tmp_path / "spans.json"
@@ -44,7 +46,7 @@ def test_traced_run_records_every_metric_span(tmp_path):
     cmd = [
         sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans),
         "run", "--config", str(config), "--out", str(tmp_path / "out"),
-        "--horizon", "1", "--seeds", "0", "--jobs", "1",
+        "--horizon", str(horizon), "--seeds", "0", "--jobs", "1",
     ]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -53,6 +55,11 @@ def test_traced_run_records_every_metric_span(tmp_path):
     counts = {name: 0 for name in doc["names"]}
     for name_id, *_ in doc["spans"]:
         counts[doc["names"][name_id]] += 1
+    return doc, counts
+
+
+def test_traced_run_records_every_metric_span(tmp_path):
+    doc, counts = traced_run(tmp_path, "static_split_mw", 1)
     for name in TRACED_NAMES:
         assert counts.get(name, 0) >= 1, f"no span recorded for {name}"
     assert doc["counters"].get("members", 0) > 0
@@ -63,3 +70,8 @@ def test_traced_run_records_every_metric_span(tmp_path):
         if names[name_id] == "simplex.solve_standard_form"
     }
     assert callers == {"lp.solve_lp"}
+
+
+def test_static_split_static_records_one_step_span_per_slot(tmp_path):
+    _, counts = traced_run(tmp_path, "static_split_static", 3)
+    assert counts["policies.step"] == 3

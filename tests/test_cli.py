@@ -5,10 +5,13 @@ import copy
 import csv
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bssched
 import bssched.cli as cli_module
@@ -31,6 +34,8 @@ from bssched.cli import (
 from bssched.lp import build_lp, solve_lp
 from bssched.policies import POLICY_DEFAULTS, make_policy
 from bssched.sim import run
+
+from oracles import csv_module_write
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -828,6 +833,51 @@ def test_csv_columns_frozen():
         "mu_hat_err",
         "lambda_hat_err",
     )
+
+
+# ---------------------------------------------------------------------------
+# CSV number formats and writer
+# ---------------------------------------------------------------------------
+
+EDGE_NUMBERS = (
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+    sys.float_info.max, 1.2345678905, 7, 12_345_678_901,
+)
+
+
+@pytest.mark.parametrize("x", EDGE_NUMBERS, ids=repr)
+def test_percent_g_matches_format_g(x):
+    assert "%.10g" % x == "{:.10g}".format(x)
+
+
+@given(st.floats())
+def test_percent_g_matches_format_g_on_every_float(x):
+    assert "%.10g" % x == "{:.10g}".format(x)
+
+
+@given(st.integers())
+def test_percent_d_matches_str(n):
+    assert "%d" % n == str(n)
+
+
+def test_percent_d_writes_a_bool_as_0_or_1():
+    assert ("%d" % True, "%d" % False) == ("1", "0")
+
+
+@pytest.mark.parametrize("horizon", [1, 127, 128, 129, 300])
+def test_write_csv_matches_the_csv_module_writer(tmp_path, horizon):
+    cfg, cm = reference_scenario()
+    rng = np.random.default_rng(11)
+    trace = run(cfg, cm, make_policy("algorithm1", cfg, cm, rng), horizon, rng=rng)
+    # algorithm1 estimates from slot 1: blank the first half's errors so that
+    # the columns go from NaN to finite (across the first block at 300 slots)
+    trace.mu_err[: horizon // 2] = np.nan
+    trace.lambda_err[: horizon // 2] = np.nan
+    cli_module._write_csv(tmp_path / "written.csv", trace, 50)
+    csv_module_write(tmp_path / "reference.csv", trace, 50)
+    written = (tmp_path / "written.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\r\n") == horizon + 1
 
 
 # ---------------------------------------------------------------------------

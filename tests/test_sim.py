@@ -387,6 +387,23 @@ def test_regime_schedule_validation():
         RegimeSchedule(changes=((0, 2.0),))
 
 
+@pytest.mark.parametrize("start", [10.0, 10.5, True, "10"], ids=repr)
+def test_regime_start_must_be_an_integer(start):
+    with pytest.raises(ValueError, match="integers"):
+        RegimeSchedule(changes=((start, 2.0),))
+
+
+def test_regime_start_may_be_a_numpy_integer(reference):
+    cfg, cm = reference
+    as_int = RegimeSchedule(changes=((5, 2.0),))
+    as_numpy = RegimeSchedule(changes=((np.int64(5), 2.0),))
+    traces = [
+        run(cfg, cm, AlwaysOnMaxWeight(cfg, cm), horizon=20, seed=1, regime=regime)
+        for regime in (as_int, as_numpy)
+    ]
+    assert np.array_equal(traces[0].total_queue, traces[1].total_queue)
+
+
 def test_regime_scale_at_boundaries():
     regime = RegimeSchedule(changes=((10, 2.0), (20, 0.5)))
     assert scale_at(regime, 1) == 1.0
@@ -442,6 +459,14 @@ def test_windowed_cost_matches_direct_average(reference):
     for t in (1, 5, 37, 100, 300):
         lo = max(t - 37, 0)
         assert windowed[t - 1] == pytest.approx(trace.cost[lo:t].mean())
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_windowed_cost_rejects_a_window_below_one(reference, window):
+    cfg, cm = reference
+    trace = run(cfg, cm, AlwaysOnMaxWeight(cfg, cm), horizon=5, seed=0)
+    with pytest.raises(ValueError, match="window"):
+        trace.windowed_cost(window)
 
 
 def test_switch_count_counts_activation_changes(reference):
