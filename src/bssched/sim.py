@@ -67,8 +67,8 @@ class RegimeSchedule:
     """Piecewise-constant scaling of the arrival rates.
 
     ``changes`` holds (start_slot, scale) pairs; a scale applies from its
-    start slot (inclusive, 1-based) until the next change. Slots before the
-    first change use scale 1.0.
+    start slot (an integer, inclusive, 1-based) until the next change.
+    Slots before the first change use scale 1.0.
     """
 
     changes: tuple[tuple[int, float], ...]
