@@ -16,9 +16,16 @@ printed. A run that reports ``"correct": false`` or a failed command, exits
 non-zero or ends on a line that is not JSON stops the script with exit
 status 1, naming the workload, pair and side; a run that did not report
 also shows its exit code and last output lines. The summary
-gives, per end-to-end metric, the median and quartile spread of each side
-and the number of pairs the ``after`` side won (lower is better for every
-metric).
+gives, per end-to-end metric, the median and quartile spread of each side,
+the number of pairs the ``after`` side won (lower is better for every
+metric) and a verdict, the first of these that holds:
+
+- ``gain``: ``after`` won at least nine tenths of the pairs, and its median
+  is lower than ``before``'s by more than ``before``'s quartile spread;
+- ``worse``: ``after``'s median exceeds ``before``'s by more than the
+  metric's bound in ``BENCHMARK.json``, a share of ``before``'s median;
+- ``unresolved``: either side's quartile spread is wider than that bound;
+- ``no change``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 METRICS = ("command_s", "setup_s", "work_s", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def checkout(spec: str, scratch: Path) -> Path:
@@ -78,15 +86,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def verdict(before: dict, after: dict, wins: int, count: int, bound: float) -> str:
+    """The verdict on one metric from each side's ``spread``, the pairs
+    ``after`` won of ``count`` and the metric's bound."""
+    if wins >= 0.9 * count and before["median"] - after["median"] > before["iqr"]:
+        return "gain"
+    allowed = bound * before["median"]
+    if after["median"] - before["median"] > allowed:
+        return "worse"
+    if max(before["iqr"], after["iqr"]) > allowed:
+        return "unresolved"
+    return "no change"
+
+
+def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
     out = {}
     for name in METRICS:
         before = [p["before"]["metrics"][name]["value"] for p in pairs]
         after = [p["after"]["metrics"][name]["value"] for p in pairs]
+        wins = sum(a < b for a, b in zip(after, before))
+        sides = {"before": spread(before), "after": spread(after)}
         out[name] = {
-            "before": spread(before),
-            "after": spread(after),
-            "after_wins": sum(a < b for a, b in zip(after, before)),
+            **sides,
+            "after_wins": wins,
+            "verdict": verdict(*sides.values(), wins, len(pairs), bounds[name]),
         }
     return out
 
@@ -99,6 +122,8 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 
     record = {
         "command": shlex.join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
@@ -137,7 +162,8 @@ def main() -> int:
                       f"{pair['before']['metrics']['command_s']['value']:.3f} -> "
                       f"{pair['after']['metrics']['command_s']['value']:.3f}",
                       file=sys.stderr)
-            record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+            record["workloads"][workload] = {"summary": summarize(pairs, bounds),
+                                             "pairs": pairs}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

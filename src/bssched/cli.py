@@ -396,6 +396,7 @@ def _lp_report(scenario: Scenario, eps_g: float, eps_p: float, seed: int) -> dic
         "dimension": problem.dim,
         "n_equalities": problem.a.shape[0] - problem.rates.shape[0],
         "n_coverage_rows": problem.rates.shape[0],
+        "pivots": solution.iterations,
     }
     if solution.status != "optimal":
         return report

@@ -169,6 +169,20 @@ def dense_pivot(tableau, row, col):
     tableau[row, col] = 1.0
 
 
+def restricted_pivot(tableau, row, col, rows, cols):
+    """Pivot on (row, col) updating only ``rows`` x ``cols``, a row at a time,
+    each entry as t - f * p with f = 0 on the pivot row; every other entry
+    keeps its bits. On every row and column it gives dense_pivot's bits."""
+    tableau[row] /= tableau[row, col]
+    pivot = tableau[row].copy()
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    for i in rows:
+        tableau[i, cols] = tableau[i, cols] - factors[i] * pivot[cols]
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+
+
 def loop_leaving(tableau, col, basis, tol):
     """Ratio test by a loop over the rows: least rhs / column among
     column > tol, ties to the smallest basic index."""

@@ -1,0 +1,83 @@
+"""The verdicts ``scripts/bench_pairs.py`` gives synthetic before/after pairs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BOUNDS = {"command_s": 0.25, "setup_s": 0.25, "work_s": 0.25, "peak_rss_mb": 0.05}
+
+
+def pairs_of(before, after):
+    """Pairs whose every metric reads ``before[i]`` and ``after[i]``."""
+
+    def result(value):
+        return {"metrics": {name: {"value": value} for name in bench_pairs.METRICS}}
+
+    return [{"before": result(b), "after": result(a)} for b, a in zip(before, after)]
+
+
+def verdicts(before, after, bounds=BOUNDS):
+    summary = bench_pairs.summarize(pairs_of(before, after), bounds)
+    return {name: entry["verdict"] for name, entry in summary.items()}
+
+
+def test_bounds_are_the_benchmarks():
+    declared = json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]
+    assert {m["name"]: m["bound"] for m in declared} == BOUNDS
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread():
+    before = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+    faster = [0.70, 0.72, 0.69, 0.71, 0.70, 0.68, 0.73, 0.70, 0.71, 1.05]
+    assert set(verdicts(before, faster).values()) == {"gain"}  # won 9 of 10
+
+    two_losses = faster[:8] + [1.05, 1.05]
+    summary = bench_pairs.summarize(pairs_of(before, two_losses), BOUNDS)
+    assert summary["work_s"]["after_wins"] == 8
+    assert summary["work_s"]["verdict"] == "no change"
+
+    ties = before[:]  # a tie counts for neither side
+    ties[0] = 0.5
+    assert bench_pairs.summarize(pairs_of(before, ties), BOUNDS)["work_s"][
+        "after_wins"
+    ] == 1
+
+
+def test_winning_every_pair_within_the_spread_is_no_gain():
+    before = [1.00, 1.10, 0.90, 1.05, 0.95, 1.00, 1.08, 0.92, 1.02, 0.98]
+    after = [b - 0.01 for b in before]
+    summary = bench_pairs.summarize(pairs_of(before, after), BOUNDS)["work_s"]
+    assert summary["after_wins"] == 10
+    assert summary["before"]["median"] - summary["after"]["median"] < summary[
+        "before"
+    ]["iqr"]
+    assert summary["verdict"] == "no change"
+
+
+def test_worse_beyond_the_bound_as_a_share_of_the_before_median():
+    before = [100.0] * 6
+    assert verdicts(before, [104.0] * 6)["peak_rss_mb"] == "no change"
+    assert verdicts(before, [106.0] * 6)["peak_rss_mb"] == "worse"
+    assert verdicts(before, [106.0] * 6)["work_s"] == "no change"  # bound 0.25
+    assert verdicts(before, [130.0] * 6)["work_s"] == "worse"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    steady = [1.00, 1.01, 0.99, 1.00, 1.01, 0.99]
+    noisy = [0.60, 1.40, 0.70, 1.30, 0.65, 1.35]
+    assert verdicts(steady, noisy)["work_s"] == "unresolved"
+    assert verdicts(noisy, steady)["work_s"] == "unresolved"
+    assert verdicts(steady, steady)["work_s"] == "no change"
+
+
+@pytest.mark.parametrize("bound, expected", [(0.5, "no change"), (0.1, "worse")])
+def test_the_bound_is_read_per_metric(bound, expected):
+    before, after = [1.0] * 4, [1.2] * 4
+    assert verdicts(before, after, {**BOUNDS, "setup_s": bound})["setup_s"] == expected

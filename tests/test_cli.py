@@ -434,6 +434,20 @@ def test_lp_report_on_reference(capsys):
         assert j_idx in kept
 
 
+def test_lp_report_counts_the_solves_pivots(capsys, tmp_path, reference_config):
+    cfg, cm = reference_scenario()
+    solved = solve_lp(build_lp(cfg, cm, eps_g=0.05))
+    assert main(["lp", "--config", str(bundled_scenario_path("reference"))]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["pivots"] == solved.iterations > 0
+
+    heavy = copy.deepcopy(reference_config)
+    heavy["network"]["arrival_rate"] = 0.5
+    code = main(["lp", "--config", str(write_config(tmp_path, heavy))])
+    assert code == EXIT_INFEASIBLE
+    assert json.loads(capsys.readouterr().out)["pivots"] > 0
+
+
 def test_lp_zero_slack_objective(capsys):
     code = main(
         ["lp", "--config", str(bundled_scenario_path("reference")), "--eps-g", "0"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import bssched.simplex as simplex_module
 from bssched import SimplexError, solve_standard_form
 
-from oracles import bfs_minimum, dense_pivot, loop_leaving
+from oracles import bfs_minimum, dense_pivot, loop_leaving, restricted_pivot
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -326,59 +326,166 @@ def _sparse(rng, shape, density):
     return values
 
 
-@settings(max_examples=120, deadline=None)
+def _path(tableau, row, col):
+    """The update ``_pivot`` takes, by the ROW_COST and SPARSE_COST rules:
+    "dense" (one outer product), "rows" (the row loop) or "block"."""
+    if np.count_nonzero(tableau[:, col]) * simplex_module.ROW_COST >= tableau.size:
+        return "dense"
+    width = tableau.shape[1]
+    nonzeros = np.count_nonzero(tableau[row] / tableau[row, col])
+    if width > simplex_module.ROW_COST and nonzeros * simplex_module.SPARSE_COST < width:
+        return "block"
+    return "rows"
+
+
+def _path_bits(tableau, row, col, path):
+    """The tableau ``path``'s update leaves, bit for bit: every entry of every
+    row ("dense"), of the touched rows ("rows"), or of the touched rows x
+    the pivot row's nonzero columns ("block")."""
+    out = tableau.copy()
+    rows, cols = np.arange(tableau.shape[0]), np.arange(tableau.shape[1])
+    if path != "dense":
+        rows = np.flatnonzero(tableau[:, col])
+        rows = rows[rows != row]
+    if path == "block":
+        cols = np.flatnonzero(tableau[row])
+    restricted_pivot(out, row, col, rows, cols)
+    return out
+
+
+def _pivot_row(rng, width, col, nonzeros):
+    """``nonzeros`` small nonzero values, one of them at ``col``; some of the
+    zeros are -0.0."""
+    row = np.where(rng.random(width) < 0.3, -0.0, 0.0)
+    others = rng.choice(np.delete(np.arange(width), col), nonzeros - 1, replace=False)
+    row[others] = rng.choice([-4.0, -1.5, -0.5, 0.25, 1.0, 3.0], size=nonzeros - 1)
+    row[col] = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0])
+    return row
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    wide=st.booleans(),
+    shape=st.sampled_from(["dense", "rows", "narrow rows", "block"]),
     density=st.sampled_from([0.02, 0.1, 0.3, 1.0]),
+    lone=st.booleans(),
+    edge=st.booleans(),
 )
-def test_pivot_equals_the_dense_update(seed, wide, density):
-    """Both sides of the ROW_COST rule give the outer-product update's values.
+@example(seed=1, shape="block", density=0.3, lone=False, edge=True)
+@example(seed=1, shape="rows", density=0.3, lone=False, edge=True)
+@example(seed=1, shape="narrow rows", density=0.3, lone=False, edge=False)
+@example(seed=2, shape="block", density=0.1, lone=True, edge=False)
+def test_pivot_equals_the_dense_update(seed, shape, density, lone, edge):
+    """All three updates give the outer-product update's values, and the
+    zero signs each path leaves show which one ran.
 
-    A wide tableau (more than ROW_COST columns) takes the row loop however
-    many rows the pivot touches; one with at most ROW_COST entries takes
-    the dense update however few it touches.
+    A tableau with at most ROW_COST entries takes the dense update however
+    few rows the pivot touches. One whose touched rows cost less takes the
+    row loop when it has at most ROW_COST columns ("narrow rows", here with
+    at most four touched rows) or when its pivot row has at least
+    width / SPARSE_COST nonzeros, and the block update when a wider one has
+    fewer. With ``edge`` a wide tableau's width is a multiple of SPARSE_COST
+    and its pivot row's count sits just on or below that crossover. With
+    ``lone`` the pivot row is the only nonzero of the pivot column.
     """
     rng = np.random.default_rng(seed)
-    n_rows = int(rng.integers(2, 13 if wide else 40))
-    if wide:
-        n_cols = int(rng.integers(simplex_module.ROW_COST + 1, 2600))
-    else:
+    if shape == "dense":
+        n_rows = int(rng.integers(2, 40))
         n_cols = int(rng.integers(2, simplex_module.ROW_COST // n_rows + 1))
+    elif shape == "narrow rows":
+        n_rows = int(rng.integers(20, 40))
+        n_cols = int(rng.integers(1100, simplex_module.ROW_COST + 1))
+    else:
+        n_rows = int(rng.integers(2, 13))
+        n_cols = int(rng.integers(simplex_module.ROW_COST + 1, 2600))
+        if edge:  # width / SPARSE_COST is whole, so "rows" can sit exactly on it
+            n_cols += -n_cols % simplex_module.SPARSE_COST
     tableau = _sparse(rng, (n_rows, n_cols), density)
     row, col = int(rng.integers(n_rows)), int(rng.integers(n_cols))
-    tableau[row, col] = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0])
-    touched = np.count_nonzero(tableau[:, col])
-    assert (touched * simplex_module.ROW_COST < tableau.size) == wide
+    crossover = -(-n_cols // simplex_module.SPARSE_COST)  # the fewest "rows" nonzeros
+    if shape == "rows":
+        nonzeros = crossover if edge else int(rng.integers(crossover, n_cols))
+        tableau[row] = _pivot_row(rng, n_cols, col, nonzeros)
+    elif shape != "dense":
+        nonzeros = crossover - 1 if edge else int(rng.integers(1, crossover))
+        tableau[row] = _pivot_row(rng, n_cols, col, nonzeros)
+    else:
+        tableau[row, col] = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0])
+    if shape == "narrow rows":
+        tableau[rng.permutation(n_rows) >= 3, col] = 0.0
+        tableau[row, col] = 1.0
+    if lone:
+        tableau[np.arange(n_rows) != row, col] = 0.0
+    path = shape.split()[-1]
+    assert _path(tableau, row, col) == path
 
     expected = tableau.copy()
     dense_pivot(expected, row, col)
+    bits = _path_bits(tableau, row, col, path)
     simplex_module._pivot(tableau, row, col)
     assert np.array_equal(tableau, expected)
+    assert tableau.tobytes() == bits.tobytes()
 
 
-def _wide_sparse_lp(m=30, n=3000):
+def test_block_pivot_writes_only_its_block():
+    """Outside touched rows x the pivot row's nonzero columns, a block pivot
+    leaves every entry's bits alone, -0.0 included, except that it scales
+    the pivot row and makes the pivot column exactly canonical."""
+    rng = np.random.default_rng(23)
+    n_rows, n_cols = 12, 2600
+    tableau = _sparse(rng, (n_rows, n_cols), 0.3)
+    row, col = 5, 310
+    tableau[row] = _pivot_row(rng, n_cols, col, 40)
+    assert _path(tableau, row, col) == "block"
+    before = tableau.copy()
+    touched = np.flatnonzero(before[:, col])
+    touched = touched[touched != row]
+    assert 0 < touched.size < n_rows - 1
+
+    simplex_module._pivot(tableau, row, col)
+    outside = np.ones(tableau.shape, dtype=bool)
+    outside[np.ix_(touched, np.flatnonzero(before[row]))] = False
+    outside[row] = outside[:, col] = False
+    assert outside.sum() > 0.9 * tableau.size
+    assert tableau[outside].tobytes() == before[outside].tobytes()
+    assert tableau[row].tobytes() == (before[row] / before[row, col]).tobytes()
+    canonical = np.zeros(n_rows)
+    canonical[row] = 1.0
+    assert tableau[:, col].tobytes() == canonical.tobytes()
+
+
+def _wide_sparse_lp(m=30, n=3000, density=0.05):
     rng = np.random.default_rng(2)
-    a = _sparse(rng, (m, n), 0.05)
+    a = _sparse(rng, (m, n), density)
     a[rng.integers(m, size=n), np.arange(n)] = rng.uniform(0.5, 2.0, size=n)
     x_feasible = np.where(rng.random(n) < 0.02, rng.uniform(0.0, 2.0, size=n), 0.0)
     return rng.uniform(0.1, 2.0, size=n), a, a @ x_feasible
 
 
 def test_wide_sparse_lp_solves_as_with_the_dense_pivot(monkeypatch):
-    """30 rows and 3,000 columns: every phase tableau takes the row loop,
-    since even 31 touched rows cost less than its 31 x 3,001 entries."""
-    c, a, b = _wide_sparse_lp()
+    """30 rows and 3,000 columns: every phase tableau is wide, and even 31
+    touched rows cost less than its 31 x 3,001 entries, so each pivot takes
+    the block update while its row is sparse (about 160 of 3,000 entries at
+    first) and the row loop once it fills."""
+    c, a, b = _wide_sparse_lp(density=0.02)
     assert simplex_module.ROW_COST < a.shape[1]
 
-    row_path = solve_standard_form(c, a, b)
+    real, paths = simplex_module._pivot, []
+
+    def counted(tableau, row, col):
+        paths.append(_path(tableau, row, col))
+        real(tableau, row, col)
+
+    monkeypatch.setattr(simplex_module, "_pivot", counted)
+    sparse = solve_standard_form(c, a, b)
+    assert paths.count("block") >= 1 and paths.count("rows") >= 1
     monkeypatch.setattr(simplex_module, "_pivot", dense_pivot)
     dense = solve_standard_form(c, a, b)
-    assert row_path.status == dense.status == "optimal"
-    assert row_path.iterations == dense.iterations > 100
-    assert row_path.x.tobytes() == dense.x.tobytes()
-    assert np.array_equal(row_path.basis, dense.basis)
-    assert row_path.objective == dense.objective
+    assert sparse.status == dense.status == "optimal"
+    assert sparse.iterations == dense.iterations > 100
+    assert sparse.x.tobytes() == dense.x.tobytes()
+    assert np.array_equal(sparse.basis, dense.basis)
+    assert sparse.objective == dense.objective
 
 
 def test_phase_two_allocates_no_second_tableau():
