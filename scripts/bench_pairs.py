@@ -105,11 +105,12 @@ def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
         before = [p["before"]["metrics"][name]["value"] for p in pairs]
         after = [p["after"]["metrics"][name]["value"] for p in pairs]
         wins = sum(a < b for a, b in zip(after, before))
-        sides = {"before": spread(before), "after": spread(after)}
+        before, after = spread(before), spread(after)
         out[name] = {
-            **sides,
+            "before": before,
+            "after": after,
             "after_wins": wins,
-            "verdict": verdict(*sides.values(), wins, len(pairs), bounds[name]),
+            "verdict": verdict(before, after, wins, len(pairs), bounds[name]),
         }
     return out
 
