@@ -367,6 +367,7 @@ def _run_one_seed(scenario: Scenario, seed: int, horizon: int, out_dir: str):
         "lp_solves": policy.lp_solves,
         "lp_warm_solves": policy.lp_warm_solves,
         "lp_pivots": policy.lp_pivots,
+        "lp_eliminations": policy.lp_eliminations,
     }
 
 
@@ -397,6 +398,7 @@ def _lp_report(scenario: Scenario, eps_g: float, eps_p: float, seed: int) -> dic
         "n_equalities": problem.a.shape[0] - problem.rates.shape[0],
         "n_coverage_rows": problem.rates.shape[0],
         "pivots": solution.iterations,
+        "eliminations": solution.eliminations,
     }
     if solution.status != "optimal":
         return report

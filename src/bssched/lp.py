@@ -19,7 +19,11 @@ Constraints, with mu the channel pmf and lam the arrival-rate matrix:
 
 ``build_lp`` writes them once in the standard form the simplex solves
 (A x = b, x >= 0, the coverage rows closed by surplus columns). A re-solve
-under estimated (mu, lam) rewrites only the coverage rows of a copy.
+under estimated (mu, lam) rewrites only the coverage rows of a copy, and
+only when mu has moved since the last one: the problem keeps the last
+estimated A, and the last cost vector, as read-only arrays, so that a
+solve whose A and c did not move can hand the simplex the very arrays of
+the last one and reuse its basis elimination.
 
 The base objective prices each activation j at its steady-state cost
 ``network_cost(j, j)``, active_cost per ON station plus sleep_cost per OFF
@@ -29,13 +33,13 @@ distribution and are paid through the policies' resampling rate instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import NetworkConfig, enumerate_activations, network_cost
 from .rateregion import ChannelModel, region_index
-from .simplex import SimplexError, solve_standard_form
+from .simplex import Elimination, SimplexError, solve_standard_form
 
 DEFAULT_TOL = 1e-9
 
@@ -48,6 +52,9 @@ class LpProblem:
     per (j, h) and one coverage row per link at the true pmf and arrival
     target; the columns past ``dim`` are the coverage surplus variables.
     Under a pmf ``mu`` the coverage rows are ``rates * mu[col_state]``.
+    ``solve_lp`` keeps in ``last_a`` the (mu, A) of its last solve under an
+    estimated pmf and in ``last_c`` the (cost, c) of its last solve, each
+    read-only.
     """
 
     cfg: NetworkConfig
@@ -63,6 +70,8 @@ class LpProblem:
     rates: np.ndarray  # (n_links, dim)
     col_state: np.ndarray  # (dim,)
     base_cost: np.ndarray
+    last_a: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    last_c: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -74,6 +83,8 @@ class LpSolution:
     iterations: int
     basis: np.ndarray | None = None  # optimal basis of the standard form
     warm: bool = False  # the answer came from a warm start
+    eliminations: int = 0  # basis eliminations the solve ran
+    elimination: Elimination | None = None  # its certificate's, for a re-solve
 
 
 def build_lp(
@@ -154,33 +165,50 @@ def solve_lp(
     mu: np.ndarray | None = None,
     lam: np.ndarray | None = None,
     basis: np.ndarray | None = None,
+    elimination: Elimination | None = None,
 ) -> LpSolution:
     """Solve the planning LP; optionally override cost, pmf or arrival target.
 
     Without ``mu`` and ``lam`` the simplex gets ``problem.a`` and
-    ``problem.b`` themselves; with them, copies whose coverage rows (and
+    ``problem.b`` themselves; with them, arrays whose coverage rows (and
     right-hand sides) are rewritten for the estimates. The simplex is
     deterministic, so equal inputs always return the identical basic
     optimal solution. ``basis``, the ``basis`` of an earlier solution of
     the same problem, warm starts the simplex; a re-solve under moved
-    estimates then pivots only where they differ.
+    estimates then pivots only where they differ. ``elimination``, that
+    solution's ``elimination``, spares the warm start refactoring the
+    basis when A and c have not moved since.
     """
     cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
     a, b = problem.a, problem.b
     n_links = problem.rates.shape[0]
     if mu is not None:
-        a = a.copy()
         mu = np.asarray(mu, dtype=float)
-        a[-n_links:, : problem.dim] = problem.rates * mu[problem.col_state]
+        if problem.last_a is None or problem.last_a[0].tobytes() != mu.tobytes():
+            a = a.copy()
+            a[-n_links:, : problem.dim] = problem.rates * mu[problem.col_state]
+            a.flags.writeable = False
+            problem.last_a = (mu.copy(), a)
+        a = problem.last_a[1]
     if lam is not None:
         b = b.copy()
         b[-n_links:] = _link_targets(problem.cfg, lam, problem.eps_g)
-    c = np.concatenate([cost, np.zeros(n_links)])
+    if problem.last_c is None or problem.last_c[0].tobytes() != cost.tobytes():
+        c = np.concatenate([cost, np.zeros(n_links)])
+        c.flags.writeable = False
+        problem.last_c = (cost.copy(), c)
+    c = problem.last_c[1]
 
-    result = solve_standard_form(c, a, b, basis=basis)
+    result = solve_standard_form(c, a, b, basis=basis, elimination=elimination)
     if result.status == "infeasible":
         return LpSolution(
-            "infeasible", None, None, None, result.iterations, warm=result.warm
+            "infeasible",
+            None,
+            None,
+            None,
+            result.iterations,
+            warm=result.warm,
+            eliminations=result.eliminations,
         )
     if result.status != "optimal":
         raise SimplexError(f"unexpected solver status {result.status!r}")
@@ -195,6 +223,8 @@ def solve_lp(
         iterations=result.iterations,
         basis=result.basis,
         warm=result.warm,
+        eliminations=result.eliminations,
+        elimination=result.elimination,
     )
 
 

@@ -12,11 +12,13 @@ serves the pre-arrival queues otherwise (the engine applies departures
 before arrivals). ``q`` is the engine's flat list of queue lengths, one
 int per (station, user) pair in row-major order, and ``arrivals`` holds
 the slot's arrivals in the same order: a bool array under Bernoulli
-arrivals, a list of ints under binomial ones, and None for a policy
-without estimates, which never reads it. A service is a list of (link,
-rate) pairs into ``q``, at most one per serving station. No ``step``
-draws more than ``Policy.max_step_draws`` uniforms, so the engine can
-draw a block of slots ahead.
+arrivals, a list of ints under binomial ones, or a function of no
+arguments that returns them when called during ``step`` (the engine
+passes one, since a policy with estimates mostly does not read them), and
+None for a policy without estimates, which never reads it. A service is
+a list of (link, rate) pairs into ``q``, at most one per serving station.
+No ``step`` draws more than ``Policy.max_step_draws`` uniforms, so the
+engine can draw a block of slots ahead.
 
 ``max_weight(q, j, h)`` is the Max-Weight rule over R(j, h). Under
 one_user_per_station it splits by station (Tassiulas & Ephremides 1992):
@@ -134,8 +136,9 @@ class Policy:
     LP and, under explicit interference, by every policy. ``solution`` is
     the planning LP solved under the true parameters, for the policies that
     plan with it.
-    ``lp_solves``, ``lp_warm_solves`` and ``lp_pivots`` count the policy's
-    own LP solves, those answered from a warm start, and their pivots.
+    ``lp_solves``, ``lp_warm_solves``, ``lp_pivots`` and ``lp_eliminations``
+    count the policy's own LP solves, those answered from a warm start, and
+    their pivots and basis eliminations.
     A policy with estimates sets both ``mu_hat`` and ``lambda_hat`` and
     counts their changes in ``estimate_version``. ``max_step_draws`` is the
     most uniforms any policy's ``step`` consumes in a slot: the resample
@@ -150,6 +153,7 @@ class Policy:
     lp_solves = 0
     lp_warm_solves = 0
     lp_pivots = 0
+    lp_eliminations = 0
 
     def __init__(
         self,
@@ -186,6 +190,7 @@ class Policy:
         self.lp_solves += 1
         self.lp_warm_solves += int(solution.warm)
         self.lp_pivots += solution.iterations
+        self.lp_eliminations += solution.eliminations
         return solution
 
     def _resample_coin(self, t: int, rng: np.random.Generator) -> bool:
@@ -332,8 +337,10 @@ class LearningMaxWeight(Policy):
 
     Each re-solve warm starts the simplex from the optimal basis of the
     last optimal re-solve, which stays optimal or nearly so while the
-    estimates move little; ``reset`` drops it, so every run starts cold and
-    its solves depend on nothing but its own history.
+    estimates move little, and with the elimination of that basis which the
+    re-solve's certificate made, which the next one reuses while mu_hat has
+    not moved; ``reset`` drops both, so every run starts cold and its solves
+    depend on nothing but its own history.
 
     The tracking variant keeps both the explore probability and the
     estimate learning rate from decaying below ``learning_floor`` so the
@@ -381,7 +388,9 @@ class LearningMaxWeight(Policy):
         self._sigma_hat: np.ndarray | None = None
         self._sigma_hat_cdf: list[float] = []
         self._basis: np.ndarray | None = None
+        self._elimination = None
         self.lp_solves = self.lp_warm_solves = self.lp_pivots = 0
+        self.lp_eliminations = 0
 
     def explore_probability(self, t: int) -> float:
         base = 2.0 * math.log(t) / t if t >= 1 else 0.0
@@ -417,12 +426,14 @@ class LearningMaxWeight(Policy):
                 mu=self.mu_hat,
                 lam=self.lambda_hat,
                 basis=self._basis,
+                elimination=self._elimination,
             )
             self._sigma_hat = None
             if solution.status == "optimal":
                 self._sigma_hat = _clean_pmf(solution.sigma)
                 self._sigma_hat_cdf = np.cumsum(self._sigma_hat).tolist()
                 self._basis = solution.basis
+                self._elimination = solution.elimination
             self._solved_version = self._estimate_version
         if self._sigma_hat is not None:
             self._j_tilde = draw_channel_index(self._sigma_hat_cdf, rng)
@@ -442,6 +453,8 @@ class LearningMaxWeight(Policy):
             self._resample_j_tilde(rng)
         explore = rng.random() < self.explore_probability(t)
         if explore or self.update_arrivals_every_slot:
+            if callable(arrivals):
+                arrivals = arrivals()
             arrivals = np.reshape(arrivals, self.lambda_hat.shape)
         if explore:
             self._update_estimates(h_index, arrivals)

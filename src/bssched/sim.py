@@ -24,8 +24,9 @@ whatever the policy consumes. Identical configuration and seed give
 byte-identical traces, and blocks change no draw. With Bernoulli arrivals
 pass 1 draws as many uniforms as the block's slots could take (no
 ``step`` takes more than ``Policy.max_step_draws``) in one call, hands
-them out in that order, and gathers the arrivals in numpy; a policy with
-estimates reads its slot's arrivals from the same uniforms. The generator
+them out in that order, and gathers the arrivals in numpy. A policy with
+estimates gets its slot's arrivals as a function that builds them, from
+the same uniforms or counts, only when the policy reads them. The generator
 then moves by exactly the uniforms used. Binomial arrivals draw slot by
 slot, since a restart takes a uniform more.
 
@@ -247,6 +248,31 @@ class _Uniforms:
         return self.values[at]
 
 
+def _bernoulli_reader(u: np.ndarray, starts: list[int], rates: np.ndarray):
+    """The current slot's Bernoulli arrivals, from the uniforms at the last
+    of ``starts``, as a function that builds them when called."""
+    size = rates.size
+
+    def arrivals() -> np.ndarray:
+        at = starts[-1]
+        return u[at : at + size] < rates
+
+    return arrivals
+
+
+def _count_reader(arrived: list[tuple], bounds: list[int], size: int):
+    """The current slot's arrival counts, the (link, count) pairs after the
+    second-last of ``bounds``, as a function that builds them when called."""
+
+    def arrivals() -> list[int]:
+        counts = [0] * size
+        for link, n_new in arrived[bounds[-2] : bounds[-1]]:
+            counts[link] = n_new
+        return counts
+
+    return arrivals
+
+
 def run(
     cfg: NetworkConfig,
     cm: ChannelModel,
@@ -343,14 +369,17 @@ def run(
             u = rng.random((t1 - t0) * (size + 1 + policy.max_step_draws))
             source = _Uniforms(u)
             starts = []
+        a = None
+        if has_estimates:  # only the learning policies read them, and mostly not
+            if bernoulli:
+                a = _bernoulli_reader(u, starts, flat_rates)
+            else:
+                a = _count_reader(arrived, bounds, size)
         for t in range(t0, t1):
-            a = None
             if bernoulli:  # the arrivals are gathered in numpy after the loop
                 at = source.at
                 starts.append(at)
                 source.at = at + size
-                if has_estimates:  # only the learning policies read them
-                    a = u[at : at + size] < flat_rates
             else:
                 if btpe is None:
                     new = _inversion_arrivals(n_max, table, rng)
@@ -359,10 +388,6 @@ def run(
                     new = [(k, x) for k, x in zip(links, counts) if x]
                 arrived += new
                 bounds.append(len(arrived))
-                if has_estimates:
-                    a = [0] * size
-                    for link, n_new in new:
-                        a[link] = n_new
             h = draw_channel_index(cum_pmf, source)
             slots.append((h, *step(t, h, a, source)))
             if has_estimates:  # they change only with the estimates or rates

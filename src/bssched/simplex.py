@@ -13,14 +13,16 @@ tableau a single outer-product update of every row is cheapest
 wide one only the rows whose pivot-column entry is nonzero are updated:
 one at a time in a reused buffer, as ``row -= factor * pivot_row``, or,
 when the pivot row is mostly zeros (``SPARSE_COST``), as one block of those
-rows x the pivot row's nonzero columns. All three compute each entry they
-change by the same product and difference, and a skipped entry would only
-have had a zero subtracted, so the tableau holds the same values either
-way. At most the sign of a zero entry differs (x - (-0.0) turns -0.0 into
-+0.0), which no comparison sees and which cannot reach x: phase 2 starts
-from a right-hand side clipped to +0.0, and no update then makes a -0.0
-there. So the pivot sequence, x, basis and pivot count are identical bit
-for bit on all three paths.
+rows x the pivot row's nonzero columns. The outer products come from
+``np.einsum``, whose products are ``np.outer``'s plus +0.0: a zero product
+subtracts +0.0, which leaves its entry's bits as a skipped entry keeps
+them. All three compute each entry they change by the same product and
+difference, and a skipped entry would only have had a zero subtracted, so
+the tableau holds the same values either way. At most the sign of a zero
+entry differs (x - (-0.0) turns -0.0 into +0.0), which no comparison sees
+and which cannot reach x: phase 2 starts from a right-hand side clipped to
++0.0, and no update then makes a -0.0 there. So the pivot sequence, x,
+basis and pivot count are identical bit for bit on all three paths.
 
 A solve may start warm from a basis, typically the optimal basis of a
 nearby problem. When that basis is full-size and nonsingular, [A | b] is
@@ -35,12 +37,31 @@ the artificial columns, so a solve allocates one tableau, not two.
 
 Every optimal answer carries a certificate recomputed from the original
 A, b and c: the primal residual, nonnegativity of x, and dual feasibility
-of the reduced costs of its basis. A warm answer that fails it is solved
-again cold; a cold answer that fails it raises ``SimplexError``.
+of the reduced costs c - A^T y of its basis. A warm answer that fails it
+is solved again cold; a cold answer that fails it raises ``SimplexError``.
+
+The duals y, and the B^-1 of a warm start, come from a Gauss-Jordan
+elimination of the basis columns of the original A (``Elimination``),
+never from the pivoted tableau. An elimination is deterministic, so one
+made earlier has the bits of one made again, and a solve reuses it where
+it would otherwise repeat it:
+
+- the certificate takes y from the warm start's elimination when the
+  answer's basis holds the same columns as the warm basis;
+- a warm start takes B^-1 from the ``elimination`` of the result whose
+  ``basis`` it starts from, when that was made from the very A, c and
+  basis arrays it is given, each read-only and owning its data. A
+  re-solve whose A and c did not move, only b, then skips its elimination.
+
+The result's ``eliminations`` counts those the solve ran: one for a cold
+optimal answer's certificate, and for a warm solve none, one, or two when
+its basis changed and its start could not be reused (a warm answer that
+fails its certificate adds the cold solve's one).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +71,32 @@ class SimplexError(Exception):
     """Pivot limit exceeded or an internal invariant failed."""
 
 
+@dataclass(eq=False)
+class Elimination:
+    """One Gauss-Jordan elimination of ``basis``'s columns of a and c.
+
+    ``inverse`` is what ``_basis_inverse`` returned: the row-permuted B^-1,
+    the duals and the row permutation, or None when the columns are
+    dependent. It holds ``basis`` and weak references to the a and c it
+    read, so that it keeps no standard form alive.
+    """
+
+    a: weakref.ref
+    c: weakref.ref
+    basis: np.ndarray
+    inverse: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
 @dataclass
 class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
-    basis: np.ndarray | None
+    basis: np.ndarray | None  # read-only
     iterations: int
     warm: bool = False  # the answer came from a warm start
+    eliminations: int = 0  # basis eliminations the solve ran
+    elimination: Elimination | None = None  # the one its certificate used
 
 
 # The Python overhead of one row update, counted in tableau entries: a pivot
@@ -85,7 +124,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
             # flat indices into the tableau's own buffer: faster than np.ix_,
             # and reshape raises rather than hand back a copy
             block = touched[:, None] * pivot_row.size + cols
-            update = np.outer(column[touched], pivot_row[cols])
+            update = np.einsum("i,j->ij", column[touched], pivot_row[cols])
             tableau.reshape(-1, copy=False)[block] -= update
         else:
             scaled = np.empty_like(pivot_row)
@@ -96,7 +135,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     else:
         factors = column.copy()
         factors[row] = 0.0
-        tableau -= np.outer(factors, pivot_row)
+        tableau -= np.einsum("i,j->ij", factors, pivot_row)
     # keep the pivot column exactly canonical
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
@@ -104,8 +143,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
 
 def _entering(tableau: np.ndarray, n_cols: int, tol: float) -> int | None:
     """Bland: leftmost column with a negative reduced cost."""
-    reduced = tableau[-1, :n_cols]
-    candidates = np.nonzero(reduced < -tol)[0]
+    candidates = (tableau[-1, :n_cols] < -tol).nonzero()[0]
     return int(candidates[0]) if candidates.size else None
 
 
@@ -113,12 +151,13 @@ def _leaving(
     tableau: np.ndarray, col: int, basis: np.ndarray, tol: float
 ) -> int | None:
     """Minimum-ratio row; ties go to the smallest basic variable index."""
-    rows = np.flatnonzero(tableau[:-1, col] > tol)
+    column = tableau[:-1, col]
+    rows = (column > tol).nonzero()[0]
     if not rows.size:
         return None
-    ratios = tableau[rows, -1] / tableau[rows, col]
+    ratios = tableau[rows, -1] / column[rows]
     ties = rows[ratios == ratios.min()]
-    return int(ties[np.argmin(basis[ties])])
+    return int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
 
 
 def _run_phase(
@@ -157,6 +196,7 @@ def solve_standard_form(
     tol: float = 1e-9,
     max_iter: int | None = None,
     basis: np.ndarray | None = None,
+    elimination: Elimination | None = None,
 ) -> SimplexResult:
     """Minimize c.x over {A x = b, x >= 0}.
 
@@ -164,6 +204,10 @@ def solve_standard_form(
     ``basis`` (m column indices, e.g. a previous result's ``basis``) warm
     starts the solve; a short, singular or malformed one is ignored. The
     result's ``warm`` says whether the answer came from the warm start.
+    ``elimination``, that previous result's ``elimination``, spares the
+    warm start its own elimination of ``basis`` when it was made from these
+    very ``a``, ``c`` and ``basis`` arrays, each read-only and owning its
+    data, so that none of them can have changed since.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -177,42 +221,66 @@ def solve_standard_form(
         max_iter = max(5000, 100 * (m + n))
     b_scale = abs(b).max(initial=0.0)
 
-    pivots = 0
-    start = _canonical(c, a, b, basis, tol)
-    if start is not None:
-        result = _two_phase(c, *start, b_scale, tol, max_iter)
-        if result.status != "optimal" or _certified(c, a, b, result, tol):
-            result.warm = True
-            return result
-        pivots = result.iterations
+    pivots = eliminations = 0
+    if basis is not None:
+        basis = np.asarray(basis, dtype=np.int64)
+        if basis.shape != (m,) or not np.all((basis >= 0) & (basis < n)):
+            basis = None
+    if basis is not None:
+        if not _made_from(elimination, a, c, basis):
+            elimination = _eliminate(c, a, basis, tol)
+            eliminations = 1
+        if elimination.inverse is not None:
+            start = _canonical(a, b, elimination)
+            result = _two_phase(c, *start, b_scale, tol, max_iter)
+            result.eliminations = eliminations
+            if result.status != "optimal" or _certified(
+                c, a, b, result, tol, elimination
+            ):
+                result.warm = True
+                return result
+            pivots, eliminations = result.iterations, result.eliminations
     result = _two_phase(c, a, b, None, b_scale, tol, max_iter)
     result.iterations += pivots
+    result.eliminations = eliminations
     if result.status == "optimal" and not _certified(c, a, b, result, tol):
         raise SimplexError("optimal answer failed its certificate")
     return result
 
 
+def _made_from(
+    elimination: Elimination | None, a: np.ndarray, c: np.ndarray, basis: np.ndarray
+) -> bool:
+    """Whether ``elimination`` read these very arrays, which cannot have
+    changed since: each is read-only and owns its data, so no view writes it."""
+    return (
+        elimination is not None
+        and elimination.a() is a
+        and elimination.c() is c
+        and elimination.basis is basis
+        and not any(v.flags.writeable or not v.flags.owndata for v in (a, c, basis))
+    )
+
+
 def _canonical(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray | None, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(B^-1 a, B^-1 b, basic column of each row) for a usable basis, else None."""
-    if basis is None:
-        return None
-    m, n = a.shape
-    basis = np.asarray(basis, dtype=np.int64)
-    if basis.shape != (m,) or not np.all((basis >= 0) & (basis < n)):
-        return None
-    inverse = _basis_inverse(c, a, basis, tol)
-    if inverse is None:
-        return None
-    b_inv, _, row_of = inverse
+    a: np.ndarray, b: np.ndarray, elimination: Elimination
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B^-1 a, B^-1 b, basic column of each row) for a nonsingular basis."""
+    b_inv, _, row_of = elimination.inverse
     # einsum, not BLAS matmul, whose sums (and so the warm path's pivots)
     # change with the BLAS thread count.
     rows = np.einsum("ij,jk->ik", b_inv, np.column_stack([a, b]))
-    basic = basis[row_of]
+    basic = elimination.basis[row_of]
     rows[:, basic] = 0.0  # keep the basic columns exactly canonical
-    rows[np.arange(m), basic] = 1.0
+    rows[np.arange(a.shape[0]), basic] = 1.0
     return rows[:, :-1], rows[:, -1], basic
+
+
+def _eliminate(
+    c: np.ndarray, a: np.ndarray, basis: np.ndarray, tol: float
+) -> Elimination:
+    inverse = _basis_inverse(c, a, basis, tol)
+    return Elimination(weakref.ref(a), weakref.ref(c), basis, inverse)
 
 
 def _basis_inverse(
@@ -225,8 +293,10 @@ def _basis_inverse(
     pivoting), which leaves [[P, P B^-1], [0, -y]]. ``row_of[i]`` is the
     position in ``basis`` of the column basic in row i (-1 for rows left
     without one when ``basis`` is short). None when the columns are
-    dependent. Built on ``_pivot`` rather than LAPACK, whose code and
-    buffers would cost a few MB of resident memory.
+    dependent. Each pivot is ``_pivot``'s dense update, which a tableau this
+    small always takes, written out, since per-call overhead dominates at
+    this size; LAPACK's code and buffers would cost a few MB of resident
+    memory.
     """
     m, k = a.shape[0], basis.size
     tableau = np.zeros((m + 1, k + m))
@@ -234,13 +304,22 @@ def _basis_inverse(
     tableau[:m, k:] = np.eye(m)
     tableau[-1, :k] = c[basis]
     row_of = np.full(m, -1)
+    used = np.zeros(m, dtype=bool)
     for col in range(k):
-        entries = np.abs(tableau[:m, col])
-        entries[row_of >= 0] = -1.0
-        row = int(np.argmax(entries))
+        column = tableau[:, col]
+        entries = np.abs(column[:m])
+        entries[used] = -1.0
+        row = int(entries.argmax())
         if entries[row] <= tol:
             return None
-        _pivot(tableau, row, col)
+        pivot_row = tableau[row]
+        pivot_row /= pivot_row[col]
+        factors = column.copy()
+        factors[row] = 0.0
+        tableau -= np.einsum("i,j->ij", factors, pivot_row)
+        column[:] = 0.0
+        pivot_row[col] = 1.0
+        used[row] = True
         row_of[row] = col
     return tableau[:m, k:], -tableau[-1, k:], row_of
 
@@ -305,9 +384,10 @@ def _two_phase(
     # strided view (whose dense updates made the bundled re-plans about 5 %
     # slower) it is contiguous, and it has a copy's size for ``_pivot``.
     flat, width = tableau.reshape(-1), tableau.shape[1]
-    for i in range(m + 1):
-        flat[i * (n + 1) : i * (n + 1) + n] = flat[i * width : i * width + n]
-        flat[i * (n + 1) + n] = flat[(i + 1) * width - 1]
+    if width > n + 1:  # without artificial columns every row is in place
+        for i in range(m + 1):
+            flat[i * (n + 1) : i * (n + 1) + n] = flat[i * width : i * width + n]
+            flat[i * (n + 1) + n] = flat[(i + 1) * width - 1]
     tableau = flat[: (m + 1) * (n + 1)].reshape(m + 1, n + 1)
     tableau[:-1, -1] = np.maximum(tableau[:-1, -1], 0.0)
     tableau[-1, :n] = c - c[basis] @ tableau[:-1, :n]
@@ -320,18 +400,28 @@ def _two_phase(
 
     x = np.zeros(n)
     x[basis] = tableau[:-1, -1]
-    return SimplexResult("optimal", x, float(c @ x), basis.copy(), iterations)
+    basis = basis.copy()
+    basis.flags.writeable = False  # so an elimination of it stays valid
+    return SimplexResult("optimal", x, float(c @ x), basis, iterations)
 
 
 def _certified(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, result: SimplexResult, tol: float
+    c: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    result: SimplexResult,
+    tol: float,
+    warm: Elimination | None = None,
 ) -> bool:
     """Primal residual, x >= 0 and dual feasibility, recomputed from a, b, c.
 
-    The duals come from a fresh elimination of the result's basis columns
-    of the original a (``_basis_inverse``), so the reduced costs c - a^T y
-    do not inherit the tableau's round-off. Each test is written so that a
-    NaN fails it.
+    The duals come from an elimination of the result's basis columns of the
+    original a (``_basis_inverse``), so the reduced costs c - a^T y do not
+    inherit the tableau's round-off. That is ``warm``, the elimination the
+    warm start made canonical from, when the result's basis holds the same
+    columns; otherwise a fresh one, counted in the result's
+    ``eliminations``. The elimination used becomes the result's
+    ``elimination``. Each test is written so that a NaN fails it.
     """
     x = result.x
     slack = CERTIFICATE_SLACK * tol
@@ -341,10 +431,18 @@ def _certified(
         return False
     if not x.min(initial=0.0) >= -slack * (1.0 + abs(x).max(initial=0.0)):
         return False
-    inverse = _basis_inverse(c, a, result.basis, tol)
-    if inverse is None:
+    basis = result.basis
+    if warm is not None and np.array_equal(np.sort(warm.basis), np.sort(basis)):
+        result.elimination = warm
+        if np.array_equal(warm.basis, basis) and not warm.basis.flags.writeable:
+            # the very array, so that a warm start from it reuses ``warm``
+            result.basis = warm.basis
+    else:
+        result.elimination = _eliminate(c, a, basis, tol)
+        result.eliminations += 1
+    if result.elimination.inverse is None:
         return False
-    y = inverse[1]
+    y = result.elimination.inverse[1]
     reduced = c - a.T @ y
     return bool(
         reduced.min(initial=0.0)

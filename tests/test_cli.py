@@ -440,6 +440,7 @@ def test_lp_report_counts_the_solves_pivots(capsys, tmp_path, reference_config):
     assert main(["lp", "--config", str(bundled_scenario_path("reference"))]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["pivots"] == solved.iterations > 0
+    assert report["eliminations"] == solved.eliminations == 1  # the certificate's
 
     heavy = copy.deepcopy(reference_config)
     heavy["network"]["arrival_rate"] = 0.5
@@ -813,6 +814,7 @@ def test_summary_reports_the_policys_own_lp_solves(
         assert seed_summary["lp_solves"] == 1
         assert seed_summary["lp_warm_solves"] == 0
         assert seed_summary["lp_pivots"] == planned.iterations > 0
+        assert seed_summary["lp_eliminations"] == planned.eliminations == 1
 
     always = copy.deepcopy(reference_config)
     always["policy"] = {"name": "always_on"}
@@ -821,6 +823,7 @@ def test_summary_reports_the_policys_own_lp_solves(
     assert summary["lp"]["objective"] == planned.objective
     for seed_summary in summary["seeds"].values():
         assert seed_summary["lp_solves"] == seed_summary["lp_pivots"] == 0
+        assert seed_summary["lp_eliminations"] == 0
 
     regime = json.loads(bundled_scenario_path("reference_regime").read_text())
     seed_summary = summary_of(regime, 250, "0")["seeds"]["0"]
@@ -833,6 +836,9 @@ def test_summary_reports_the_policys_own_lp_solves(
     assert seed_summary["lp_solves"] == policy.lp_solves > 1
     assert 0 < seed_summary["lp_warm_solves"] == policy.lp_warm_solves
     assert seed_summary["lp_pivots"] == policy.lp_pivots
+    assert seed_summary["lp_eliminations"] == policy.lp_eliminations
+    # fewer than the two a warm solve would run without reuse
+    assert policy.lp_eliminations < 2 * policy.lp_solves
 
 
 def test_csv_columns_frozen():

@@ -20,7 +20,13 @@ from bssched import (
 )
 from bssched.cli import reference_scenario
 
-from oracles import bfs_minimum, bfs_vertices, random_small_instance, standard_form
+from oracles import (
+    bfs_minimum,
+    bfs_vertices,
+    random_small_instance,
+    reference_solve,
+    standard_form,
+)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -258,6 +264,36 @@ def test_solver_gets_the_oracle_standard_form(monkeypatch):
                 assert got_v.tobytes() == want_v.tobytes()
         # a true-parameter solve hands over the problem's own arrays
         assert calls[0][1] is problem.a and calls[0][2] is problem.b
+
+
+def test_estimated_resolves_hand_over_the_last_standard_form(monkeypatch):
+    """A re-solve whose pmf and cost did not move gets the very read-only A
+    and c of the last one, so it can reuse that solve's elimination; a
+    moved pmf gets a new A. The answers are the reference simplex's."""
+    calls = _capture_standard_form(monkeypatch)
+    cfg, cm = reference_scenario()
+    problem = build_lp(cfg, cm, eps_g=0.05)
+    cost = perturb_cost(problem, 0.01, np.random.default_rng(0))
+    mu = np.array([0.4, 0.2, 0.2, 0.2])
+    lam = cfg.arrival_rates * 0.9
+    steps = [(mu, lam), (mu.copy(), lam * 0.95), (mu[::-1], lam * 0.95)]
+    solution = basis = None
+    for step_mu, step_lam in steps:
+        warm = {} if solution is None else {
+            "basis": solution.basis, "elimination": solution.elimination
+        }
+        solution = solve_lp(problem, cost=cost.copy(), mu=step_mu, lam=step_lam, **warm)
+        c, a, b = calls[-1]
+        want = reference_solve(c, a, b, basis=basis)
+        assert solution.x.tobytes() == want.x[: problem.dim].tobytes()
+        assert solution.basis.tobytes() == want.basis.tobytes()
+        assert (solution.iterations, solution.warm) == (want.iterations, want.warm)
+        basis = want.basis
+    (c1, a1, _), (c2, a2, _), (c3, a3, _) = calls
+    assert a2 is a1 and c2 is c1 and c3 is c1 and a3 is not a1
+    for v in (a1, c1, a3):
+        assert not v.flags.writeable and v.flags.owndata
+    assert a1 is not problem.a and not problem.a.flags.writeable
 
 
 def test_learning_resolves_leave_the_problem_unchanged():

@@ -590,19 +590,32 @@ def test_warm_resolves_leave_the_run_unchanged(monkeypatch):
     warm_policy, warm = simulate()
     real_solve = policies_module.solve_lp
 
-    def solve_dropping_basis(*args, basis=None, **kwargs):
-        return real_solve(*args, **kwargs)
+    def solve_dropping(dropped):
+        def solve(*args, **kwargs):
+            kwargs.pop(dropped)
+            return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(policies_module, "solve_lp", solve_dropping_basis)
+        return solve
+
+    monkeypatch.setattr(policies_module, "solve_lp", solve_dropping("elimination"))
+    unreused_policy, unreused = simulate()
+    monkeypatch.setattr(policies_module, "solve_lp", solve_dropping("basis"))
     cold_policy, cold = simulate()
 
     for field in dataclasses.fields(warm):
-        np.testing.assert_array_equal(
-            getattr(warm, field.name), getattr(cold, field.name), err_msg=field.name
-        )
+        expected = getattr(warm, field.name)
+        for other in (unreused, cold):
+            got = getattr(other, field.name)
+            np.testing.assert_array_equal(got, expected, err_msg=field.name)
     assert warm_policy.lp_solves == cold_policy.lp_solves > 10
     assert cold_policy.lp_warm_solves == 0 < warm_policy.lp_warm_solves
     assert warm_policy.lp_pivots < cold_policy.lp_pivots
+    assert cold_policy.lp_eliminations == cold_policy.lp_solves
+    # the same warm solves, the certificate's elimination reused as a start
+    assert unreused_policy.lp_warm_solves == warm_policy.lp_warm_solves
+    assert unreused_policy.lp_pivots == warm_policy.lp_pivots
+    assert warm_policy.lp_eliminations < unreused_policy.lp_eliminations
+    assert unreused_policy.lp_eliminations < 2 * unreused_policy.lp_solves
 
 
 def test_update_arrivals_every_slot(reference):
@@ -636,9 +649,11 @@ def test_reset_clears_learning_state(reference):
     run(cfg, cm, policy, horizon=2000, rng=rng)
     assert policy.explore_count > 0
     assert policy._basis is not None and policy.lp_warm_solves > 0
+    assert policy._elimination is not None and policy.lp_eliminations > 0
     policy.reset(0)
-    assert policy._basis is None
+    assert policy._basis is None and policy._elimination is None
     assert policy.lp_solves == policy.lp_warm_solves == policy.lp_pivots == 0
+    assert policy.lp_eliminations == 0
     assert policy.explore_count == 0
     assert policy.resample_count == 0
     assert not policy.mu_hat.any()

@@ -807,6 +807,37 @@ def test_which_runs_predraw_their_blocks(reference, monkeypatch, name, law, bloc
     assert len(calls) == blocks
 
 
+@pytest.mark.parametrize("law", ["bernoulli", "binomial"])
+@pytest.mark.parametrize("every_slot", [False, True])
+def test_learning_policy_builds_its_arrivals_only_when_read(
+    reference, monkeypatch, law, every_slot
+):
+    """The engine hands a learning policy its slot's arrivals as a function;
+    they are built on explore slots only, or on every slot when the policy
+    updates lambda_hat every slot."""
+    cfg, cm = reference
+    if law == "binomial":
+        cfg = dataclasses.replace(cfg, max_arrivals=2)
+    built = []
+    for name in ("_bernoulli_reader", "_count_reader"):
+
+        def counting(*args, reader=getattr(sim, name)):
+            arrivals = reader(*args)
+
+            def counted():
+                built.append(1)
+                return arrivals()
+
+            return counted
+
+        monkeypatch.setattr(sim, name, counting)
+    rng = np.random.default_rng(0)
+    params = {"update_arrivals_every_slot": every_slot}
+    policy = make_policy("algorithm1", cfg, cm, rng, params)
+    trace = run(cfg, cm, policy, horizon=300, rng=rng, arrival_law=law)
+    assert len(built) == (300 if every_slot else int(trace.explore.sum())) > 0
+
+
 @pytest.mark.parametrize(
     "bit_generator, name",
     [

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import bssched.simplex as simplex_module
 from bssched import SimplexError, solve_standard_form
 
-from oracles import bfs_minimum, dense_pivot, loop_leaving, restricted_pivot
+from oracles import (
+    bfs_minimum,
+    dense_pivot,
+    loop_leaving,
+    reference_solve,
+    restricted_pivot,
+)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -313,6 +319,136 @@ def test_certificate_fails_on_nan():
 
 
 # ---------------------------------------------------------------------------
+# Warm re-solves that reuse an elimination
+# ---------------------------------------------------------------------------
+
+
+def _frozen(v):
+    """A read-only copy that owns its data, as ``lp.solve_lp`` hands over."""
+    v = np.array(v, dtype=float)
+    v.flags.writeable = False
+    return v
+
+
+def _assert_same_answer(got, want):
+    assert got.status == want.status and got.warm == want.warm
+    assert got.iterations == want.iterations
+    if want.status == "optimal":
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.basis.tobytes() == want.basis.tobytes()
+        assert got.objective == want.objective
+    else:
+        assert got.x is got.basis is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    extra=st.integers(1, 6),
+    steps=st.lists(
+        st.sampled_from(["b", "same", "far", "a", "infeasible", "writable"]),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(seed=7, m=4, extra=5, steps=["b", "same", "b", "infeasible", "b", "a", "b"])
+def test_warm_resolves_equal_the_reference_without_reuse(seed, m, extra, steps):
+    """A policy's sequence of re-solves, each warm from the last optimal
+    answer and its elimination, gives the reference's x, basis, pivot
+    count, warm flag and status bit for bit. Steps move b a little ("b"),
+    not at all ("same"), to a far vertex ("far"), change rows of A ("a",
+    a new array), make the LP infeasible, or hand over a writable A."""
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    c, a, b = _random_feasible(rng, m, n)
+    a[0] = np.abs(a[0]) + 0.1  # b[0] < 0 is then infeasible
+    c, a = _frozen(c), _frozen(a)
+    point = rng.uniform(0.0, 2.0, size=n)
+    basis = elimination = reference_basis = None
+    for step in ["cold", *steps]:
+        if step == "b":
+            point = point * rng.uniform(0.999, 1.001, size=n)
+        elif step == "far":
+            point = rng.uniform(0.0, 2.0, size=n) * (rng.random(n) < 0.5)
+        elif step in ("a", "writable"):
+            changed = np.array(a)
+            rows = rng.random(m) < 0.5
+            changed[rows] = rng.uniform(-1.0, 2.0, size=(int(rows.sum()), n))
+            changed[0] = np.abs(changed[0]) + 0.1
+            a = changed if step == "writable" else _frozen(changed)
+        b = a @ point
+        if step == "infeasible":
+            b[0] = -1.0
+        got = solve_standard_form(c, a, b, basis=basis, elimination=elimination)
+        want = reference_solve(c, a, b, basis=reference_basis)
+        _assert_same_answer(got, want)
+        assert got.eliminations <= (2 if step == "cold" or basis is None else 3)
+        if got.status == "optimal":
+            basis, elimination = got.basis, got.elimination
+            reference_basis = want.basis
+            assert not basis.flags.writeable
+
+
+def test_b_only_resolve_runs_no_elimination():
+    """Scaling b keeps the optimal basis: the warm start reuses the cold
+    answer's certificate elimination, and its certificate reuses that
+    again, so the re-solve eliminates nothing and hands the same on."""
+    c, a, b = _random_feasible(np.random.default_rng(3), 3, 6)
+    c, a = _frozen(c), _frozen(a)
+    cold = solve_standard_form(c, a, b)
+    assert cold.eliminations == 1 and not cold.warm
+    b2 = b * 1.001
+    warm = solve_standard_form(
+        c, a, b2, basis=cold.basis, elimination=cold.elimination
+    )
+    assert warm.warm and warm.iterations == 0 and warm.eliminations == 0
+    assert warm.elimination is cold.elimination
+    _assert_same_answer(warm, reference_solve(c, a, b2, basis=cold.basis))
+    # without it the warm start eliminates, and the certificate reuses that
+    # one, where the reference eliminates twice
+    again = solve_standard_form(c, a, b2, basis=cold.basis)
+    assert again.eliminations == 1
+    _assert_same_answer(again, warm)
+
+
+@pytest.mark.parametrize("how", ["writable", "view", "copy"])
+def test_changed_or_unfrozen_a_is_eliminated_afresh(how):
+    """An elimination is reused only for the very read-only array it read,
+    owning its data: not for a writable A changed in place, not for a
+    read-only view of a writable base, not for an equal copy."""
+    c, a, b = _random_feasible(np.random.default_rng(5), 3, 6)
+    c = _frozen(c)
+    if how == "view":
+        base = a.copy()
+        a = base[:]
+        a.flags.writeable = False
+    elif how == "copy":
+        a = _frozen(a)
+    first = solve_standard_form(c, a, b)
+    if how == "writable":
+        a[0] += 0.3  # in place: first.elimination describes the old rows
+    elif how == "view":
+        base[0] += 0.3
+    else:
+        a = _frozen(a)
+    b2 = a @ np.full(6, 0.5)
+    warm = {"basis": first.basis, "elimination": first.elimination}
+    got = solve_standard_form(c, a, b2, **warm)
+    assert got.warm and got.eliminations >= 1
+    _assert_same_answer(got, reference_solve(c, a, b2, basis=first.basis))
+
+
+def test_elimination_keeps_no_standard_form_alive():
+    c, a, b = _random_feasible(np.random.default_rng(5), 3, 6)
+    c, a = _frozen(c), _frozen(a)
+    res = solve_standard_form(c, a, b)
+    assert res.elimination.a() is a and res.elimination.c() is c
+    del a
+    assert res.elimination.a() is None
+
+
+# ---------------------------------------------------------------------------
 # Row-restricted pivots and the vectorized ratio test
 # ---------------------------------------------------------------------------
 
@@ -339,15 +475,15 @@ def _path(tableau, row, col):
 
 
 def _path_bits(tableau, row, col, path):
-    """The tableau ``path``'s update leaves, bit for bit: every entry of every
-    row ("dense"), of the touched rows ("rows"), or of the touched rows x
-    the pivot row's nonzero columns ("block")."""
+    """The tableau ``path``'s update leaves, bit for bit: every entry of the
+    touched rows ("rows"), or of the touched rows x the pivot row's nonzero
+    columns ("block", and "dense", whose einsum subtracts +0.0 for every
+    zero product, which leaves an entry's bits as if it were skipped)."""
     out = tableau.copy()
-    rows, cols = np.arange(tableau.shape[0]), np.arange(tableau.shape[1])
-    if path != "dense":
-        rows = np.flatnonzero(tableau[:, col])
-        rows = rows[rows != row]
-    if path == "block":
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    cols = np.arange(tableau.shape[1])
+    if path != "rows":
         cols = np.flatnonzero(tableau[row])
     restricted_pivot(out, row, col, rows, cols)
     return out
@@ -377,7 +513,9 @@ def _pivot_row(rng, width, col, nonzeros):
 @example(seed=2, shape="block", density=0.1, lone=True, edge=False)
 def test_pivot_equals_the_dense_update(seed, shape, density, lone, edge):
     """All three updates give the outer-product update's values, and the
-    zero signs each path leaves show which one ran.
+    zero signs each path leaves show which one ran: the row loop subtracts
+    every product of a touched row, zeros with their own sign, while the
+    dense and block updates change only entries whose product is nonzero.
 
     A tableau with at most ROW_COST entries takes the dense update however
     few rows the pivot touches. One whose touched rows cost less takes the
@@ -425,6 +563,17 @@ def test_pivot_equals_the_dense_update(seed, shape, density, lone, edge):
     simplex_module._pivot(tableau, row, col)
     assert np.array_equal(tableau, expected)
     assert tableau.tobytes() == bits.tobytes()
+
+
+def test_einsum_outer_is_the_outer_product_plus_zero():
+    """The dense and block updates' kernel: np.einsum("i,j->ij") gives
+    np.outer's bits except that every zero product is +0.0."""
+    rng = np.random.default_rng(11)
+    f, p = _sparse(rng, 45, 0.5), _sparse(rng, 620, 0.5)
+    product = np.einsum("i,j->ij", f, p)
+    assert product.tobytes() == (np.outer(f, p) + 0.0).tobytes()
+    assert np.signbit(np.outer(f, p)[product == 0]).any()
+    assert not np.signbit(product[product == 0]).any()
 
 
 def test_block_pivot_writes_only_its_block():
