@@ -53,10 +53,7 @@ it would otherwise repeat it:
   basis arrays it is given, each read-only and owning its data. A
   re-solve whose A and c did not move, only b, then skips its elimination.
 
-The result's ``eliminations`` counts those the solve ran: one for a cold
-optimal answer's certificate, and for a warm solve none, one, or two when
-its basis changed and its start could not be reused (a warm answer that
-fails its certificate adds the cold solve's one).
+The result's ``eliminations`` counts those the solve ran.
 """
 
 from __future__ import annotations
@@ -206,8 +203,7 @@ def solve_standard_form(
     result's ``warm`` says whether the answer came from the warm start.
     ``elimination``, that previous result's ``elimination``, spares the
     warm start its own elimination of ``basis`` when it was made from these
-    very ``a``, ``c`` and ``basis`` arrays, each read-only and owning its
-    data, so that none of them can have changed since.
+    very arrays (see the module docstring).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
