@@ -83,6 +83,14 @@ class Elimination:
     basis: np.ndarray
     inverse: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
+    def __getstate__(self) -> dict:
+        # a weak reference does not pickle; a copy refers to no array
+        return {**self.__dict__, "a": _no_array, "c": _no_array}
+
+
+def _no_array() -> None:
+    return None
+
 
 @dataclass
 class SimplexResult:

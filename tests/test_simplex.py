@@ -1,5 +1,6 @@
 """Standalone checks of the two-phase simplex solver."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,11 @@ def test_elimination_keeps_no_standard_form_alive():
     c, a = _frozen(c), _frozen(a)
     res = solve_standard_form(c, a, b)
     assert res.elimination.a() is a and res.elimination.c() is c
+    copied = pickle.loads(pickle.dumps(res))  # as a policy is, to a process
+    assert copied.elimination.a() is None and copied.elimination.c() is None
+    warm = {"basis": copied.basis, "elimination": copied.elimination}
+    b2 = b * 1.001
+    assert solve_standard_form(c, a, b2, **warm).eliminations == 1
     del a
     assert res.elimination.a() is None
 
