@@ -384,7 +384,8 @@ def test_warm_resolves_equal_the_reference_without_reuse(seed, m, extra, steps):
         got = solve_standard_form(c, a, b, basis=basis, elimination=elimination)
         want = reference_solve(c, a, b, basis=reference_basis)
         _assert_same_answer(got, want)
-        assert got.eliminations <= (2 if step == "cold" or basis is None else 3)
+        # a cold solve certifies once; a warm one may also fall back to cold
+        assert got.eliminations <= (1 if basis is None else 3)
         if got.status == "optimal":
             basis, elimination = got.basis, got.elimination
             reference_basis = want.basis
