@@ -182,22 +182,25 @@ def solve_lp(
     cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
     a, b = problem.a, problem.b
     n_links = problem.rates.shape[0]
+    # read each kept pair once: another solve of this problem may replace it
+    kept = problem.last_a
     if mu is not None:
         mu = np.asarray(mu, dtype=float)
-        if problem.last_a is None or problem.last_a[0].tobytes() != mu.tobytes():
+        if kept is None or kept[0].tobytes() != mu.tobytes():
             a = a.copy()
             a[-n_links:, : problem.dim] = problem.rates * mu[problem.col_state]
             a.flags.writeable = False
-            problem.last_a = (mu.copy(), a)
-        a = problem.last_a[1]
+            kept = problem.last_a = (mu.copy(), a)
+        a = kept[1]
     if lam is not None:
         b = b.copy()
         b[-n_links:] = _link_targets(problem.cfg, lam, problem.eps_g)
-    if problem.last_c is None or problem.last_c[0].tobytes() != cost.tobytes():
+    kept = problem.last_c
+    if kept is None or kept[0].tobytes() != cost.tobytes():
         c = np.concatenate([cost, np.zeros(n_links)])
         c.flags.writeable = False
-        problem.last_c = (cost.copy(), c)
-    c = problem.last_c[1]
+        kept = problem.last_c = (cost.copy(), c)
+    c = kept[1]
 
     result = solve_standard_form(c, a, b, basis=basis, elimination=elimination)
     if result.status == "infeasible":
