@@ -160,7 +160,7 @@ def _leaving(
     rows = (column > tol).nonzero()[0]
     if not rows.size:
         return None
-    ratios = tableau[rows, -1] / column[rows]
+    ratios = tableau[:-1, -1][rows] / column[rows]
     ties = rows[ratios == ratios.min()]
     return int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
 
