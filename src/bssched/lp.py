@@ -53,8 +53,7 @@ class LpProblem:
     target; the columns past ``dim`` are the coverage surplus variables.
     Under a pmf ``mu`` the coverage rows are ``rates * mu[col_state]``.
     ``solve_lp`` keeps in ``last_a`` the (mu, A) of its last solve under an
-    estimated pmf and in ``last_c`` the (cost, c) of its last solve, each
-    read-only.
+    estimated pmf and in ``last_c`` the c of its last solve, read-only.
     """
 
     cfg: NetworkConfig
@@ -71,7 +70,7 @@ class LpProblem:
     col_state: np.ndarray  # (dim,)
     base_cost: np.ndarray
     last_a: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    last_c: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    last_c: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -182,7 +181,7 @@ def solve_lp(
     cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
     a, b = problem.a, problem.b
     n_links = problem.rates.shape[0]
-    # read each kept pair once: another solve of this problem may replace it
+    # read what is kept once: another solve of this problem may replace it
     kept = problem.last_a
     if mu is not None:
         mu = np.asarray(mu, dtype=float)
@@ -195,12 +194,11 @@ def solve_lp(
     if lam is not None:
         b = b.copy()
         b[-n_links:] = _link_targets(problem.cfg, lam, problem.eps_g)
-    kept = problem.last_c
-    if kept is None or kept[0].tobytes() != cost.tobytes():
+    c = problem.last_c
+    if c is None or c[: problem.dim].tobytes() != cost.tobytes():
         c = np.concatenate([cost, np.zeros(n_links)])
         c.flags.writeable = False
-        kept = problem.last_c = (cost.copy(), c)
-    c = kept[1]
+        problem.last_c = c
 
     result = solve_standard_form(c, a, b, basis=basis, elimination=elimination)
     if result.status == "infeasible":
