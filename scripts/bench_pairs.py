@@ -8,7 +8,8 @@ Run from the repository root, for example:
 
 ``--before`` and ``--after`` are git revisions, exported with ``git archive``
 into temporary directories so that only committed files are measured, or
-existing directories. For each workload the two sides run one after the
+existing directories; the record keeps each revision's commit id (null for
+a directory). For each workload the two sides run one after the
 other for the given number of pairs, ``before`` first in even pairs and
 ``after`` first in odd ones. Both sides of pair i run with ``--seed i``, so
 the pairs span benchmark seeds. Every run's final JSON line is kept as
@@ -24,7 +25,8 @@ metric) and a verdict, the first of these that holds:
   is lower than ``before``'s by more than ``before``'s quartile spread;
 - ``worse``: ``after``'s median exceeds ``before``'s by more than the
   metric's bound in ``BENCHMARK.json``, a share of ``before``'s median;
-- ``unresolved``: either side's quartile spread is wider than that bound;
+- ``unresolved``: either side's quartile spread is wider than that bound,
+  unless every ``after`` run is lower than every ``before`` run;
 - ``no change``.
 """
 
@@ -42,6 +44,16 @@ from pathlib import Path
 
 METRICS = ("command_s", "setup_s", "work_s", "peak_rss_mb")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def commit(spec: str) -> str | None:
+    """The id of the commit a git revision names; None for a directory."""
+    if Path(spec).is_dir():
+        return None
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", f"{spec}^{{commit}}"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
 
 
 def checkout(spec: str, scratch: Path) -> Path:
@@ -86,15 +98,18 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def verdict(before: dict, after: dict, wins: int, count: int, bound: float) -> str:
+def verdict(
+    before: dict, after: dict, wins: int, count: int, bound: float, separated: bool
+) -> str:
     """The verdict on one metric from each side's ``spread``, the pairs
-    ``after`` won of ``count`` and the metric's bound."""
+    ``after`` won of ``count``, the metric's bound and whether every
+    ``after`` run was lower than every ``before`` run."""
     if wins >= 0.9 * count and before["median"] - after["median"] > before["iqr"]:
         return "gain"
     allowed = bound * before["median"]
     if after["median"] - before["median"] > allowed:
         return "worse"
-    if max(before["iqr"], after["iqr"]) > allowed:
+    if max(before["iqr"], after["iqr"]) > allowed and not separated:
         return "unresolved"
     return "no change"
 
@@ -105,12 +120,15 @@ def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
         before = [p["before"]["metrics"][name]["value"] for p in pairs]
         after = [p["after"]["metrics"][name]["value"] for p in pairs]
         wins = sum(a < b for a, b in zip(after, before))
+        separated = max(after) < min(before)
         before, after = spread(before), spread(after)
         out[name] = {
             "before": before,
             "after": after,
             "after_wins": wins,
-            "verdict": verdict(before, after, wins, len(pairs), bounds[name]),
+            "verdict": verdict(
+                before, after, wins, len(pairs), bounds[name], separated
+            ),
         }
     return out
 
@@ -129,7 +147,9 @@ def main() -> int:
     record = {
         "command": shlex.join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
         "before": args.before,
+        "before_commit": commit(args.before),
         "after": args.after,
+        "after_commit": commit(args.after),
         "seconds": args.seconds,
         "machine": f"{platform.machine()}, {platform.python_implementation()} "
                    f"{platform.python_version()}",

@@ -19,11 +19,7 @@ Constraints, with mu the channel pmf and lam the arrival-rate matrix:
 
 ``build_lp`` writes them once in the standard form the simplex solves
 (A x = b, x >= 0, the coverage rows closed by surplus columns). A re-solve
-under estimated (mu, lam) rewrites only the coverage rows of a copy, and
-only when mu has moved since the last one: the problem keeps the last
-estimated A, and the last cost vector, as read-only arrays, so that a
-solve whose A and c did not move can hand the simplex the very arrays of
-the last one and reuse its basis elimination.
+under estimated (mu, lam) rewrites only the coverage rows of a copy.
 
 The base objective prices each activation j at its steady-state cost
 ``network_cost(j, j)``, active_cost per ON station plus sleep_cost per OFF
@@ -33,7 +29,7 @@ distribution and are paid through the policies' resampling rate instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +48,6 @@ class LpProblem:
     per (j, h) and one coverage row per link at the true pmf and arrival
     target; the columns past ``dim`` are the coverage surplus variables.
     Under a pmf ``mu`` the coverage rows are ``rates * mu[col_state]``.
-    ``solve_lp`` keeps in ``last_a`` the (mu, A) of its last solve under an
-    estimated pmf and in ``last_c`` the c of its last solve, read-only.
     """
 
     cfg: NetworkConfig
@@ -69,8 +63,6 @@ class LpProblem:
     rates: np.ndarray  # (n_links, dim)
     col_state: np.ndarray  # (dim,)
     base_cost: np.ndarray
-    last_a: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    last_c: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -169,36 +161,26 @@ def solve_lp(
     """Solve the planning LP; optionally override cost, pmf or arrival target.
 
     Without ``mu`` and ``lam`` the simplex gets ``problem.a`` and
-    ``problem.b`` themselves; with them, arrays whose coverage rows (and
+    ``problem.b`` themselves; with them, copies whose coverage rows (and
     right-hand sides) are rewritten for the estimates. The simplex is
     deterministic, so equal inputs always return the identical basic
     optimal solution. ``basis``, the ``basis`` of an earlier solution of
     the same problem, warm starts the simplex; a re-solve under moved
     estimates then pivots only where they differ. ``elimination``, that
     solution's ``elimination``, spares the warm start refactoring the
-    basis when A and c have not moved since.
+    basis when its columns of A and their costs have not moved since.
     """
     cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
     a, b = problem.a, problem.b
     n_links = problem.rates.shape[0]
-    # read what is kept once: another solve of this problem may replace it
-    kept = problem.last_a
     if mu is not None:
+        a = a.copy()
         mu = np.asarray(mu, dtype=float)
-        if kept is None or kept[0].tobytes() != mu.tobytes():
-            a = a.copy()
-            a[-n_links:, : problem.dim] = problem.rates * mu[problem.col_state]
-            a.flags.writeable = False
-            kept = problem.last_a = (mu.copy(), a)
-        a = kept[1]
+        a[-n_links:, : problem.dim] = problem.rates * mu[problem.col_state]
     if lam is not None:
         b = b.copy()
         b[-n_links:] = _link_targets(problem.cfg, lam, problem.eps_g)
-    c = problem.last_c
-    if c is None or c[: problem.dim].tobytes() != cost.tobytes():
-        c = np.concatenate([cost, np.zeros(n_links)])
-        c.flags.writeable = False
-        problem.last_c = c
+    c = np.concatenate([cost, np.zeros(n_links)])
 
     result = solve_standard_form(c, a, b, basis=basis, elimination=elimination)
     if result.status == "infeasible":

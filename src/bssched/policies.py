@@ -338,8 +338,9 @@ class LearningMaxWeight(Policy):
     Each re-solve warm starts the simplex from the optimal basis of the
     last optimal re-solve, which stays optimal or nearly so while the
     estimates move little, and with the elimination of that basis which the
-    re-solve's certificate made, which the next one reuses while mu_hat has
-    not moved; ``reset`` drops both, so every run starts cold and its solves
+    re-solve's certificate made, which the next one reuses while the
+    basis's columns of the estimated A and their costs have not moved;
+    ``reset`` drops both, so every run starts cold and its solves
     depend on nothing but its own history.
 
     The tracking variant keeps both the explore probability and the

@@ -49,17 +49,17 @@ it would otherwise repeat it:
 - the certificate takes y from the warm start's elimination when the
   answer's basis holds the same columns as the warm basis;
 - a warm start takes B^-1 from the ``elimination`` of the result whose
-  ``basis`` it starts from, when that was made from the very A, c and
-  basis arrays it is given, each read-only and owning its data. A
-  re-solve whose A and c did not move, only b, then skips its elimination.
+  ``basis`` it starts from, when that was made from an equal basis, equal
+  a[:, basis] and c[basis] and an equal tol, all an elimination reads. A
+  re-solve whose basis columns of A and their costs did not move, only b
+  or other columns, then skips its elimination.
 
 The result's ``eliminations`` counts those the solve ran.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,22 +74,14 @@ class Elimination:
 
     ``inverse`` is what ``_basis_inverse`` returned: the row-permuted B^-1,
     the duals and the row permutation, or None when the columns are
-    dependent. It holds ``basis`` and weak references to the a and c it
-    read, so that it keeps no standard form alive.
+    dependent. It holds its own copy of ``basis`` and, as ``key``, the
+    bytes of a[:, basis] and c[basis] and the tol it was made with, so it
+    keeps no standard form alive.
     """
 
-    a: weakref.ref
-    c: weakref.ref
     basis: np.ndarray
     inverse: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-
-    def __getstate__(self) -> dict:
-        # a weak reference does not pickle; a copy refers to no array
-        return {**self.__dict__, "a": _no_array, "c": _no_array}
-
-
-def _no_array() -> None:
-    return None
+    key: tuple[bytes, bytes, float] = field(repr=False)
 
 
 @dataclass
@@ -97,7 +89,7 @@ class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
-    basis: np.ndarray | None  # read-only
+    basis: np.ndarray | None
     iterations: int
     warm: bool = False  # the answer came from a warm start
     eliminations: int = 0  # basis eliminations the solve ran
@@ -206,12 +198,12 @@ def solve_standard_form(
     """Minimize c.x over {A x = b, x >= 0}.
 
     Returns an optimal basic solution, or status "infeasible"/"unbounded".
-    ``basis`` (m column indices, e.g. a previous result's ``basis``) warm
-    starts the solve; a short, singular or malformed one is ignored. The
-    result's ``warm`` says whether the answer came from the warm start.
-    ``elimination``, that previous result's ``elimination``, spares the
-    warm start its own elimination of ``basis`` when it was made from these
-    very arrays (see the module docstring).
+    ``basis`` (m integer column indices, e.g. a previous result's
+    ``basis``) warm starts the solve; a short, singular or malformed one is
+    ignored. The result's ``warm`` says whether the answer came from the
+    warm start. ``elimination``, that previous result's ``elimination``,
+    spares the warm start its own elimination of ``basis`` when it read
+    the same values (see the module docstring).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -227,11 +219,19 @@ def solve_standard_form(
 
     pivots = eliminations = 0
     if basis is not None:
-        basis = np.asarray(basis, dtype=np.int64)
-        if basis.shape != (m,) or not np.all((basis >= 0) & (basis < n)):
+        basis = np.asarray(basis)
+        if (
+            basis.dtype.kind not in "iu"  # a float basis is not truncated
+            or basis.shape != (m,)
+            or not np.all((basis >= 0) & (basis < n))
+        ):
             basis = None
     if basis is not None:
-        if not _made_from(elimination, a, c, basis):
+        if (
+            elimination is None
+            or not np.array_equal(elimination.basis, basis)
+            or elimination.key != _key(c, a, basis, tol)
+        ):
             elimination = _eliminate(c, a, basis, tol)
             eliminations = 1
         if elimination.inverse is not None:
@@ -252,18 +252,11 @@ def solve_standard_form(
     return result
 
 
-def _made_from(
-    elimination: Elimination | None, a: np.ndarray, c: np.ndarray, basis: np.ndarray
-) -> bool:
-    """Whether ``elimination`` read these very arrays, which cannot have
-    changed since: each is read-only and owns its data, so no view writes it."""
-    return (
-        elimination is not None
-        and elimination.a() is a
-        and elimination.c() is c
-        and elimination.basis is basis
-        and not any(v.flags.writeable or not v.flags.owndata for v in (a, c, basis))
-    )
+def _key(
+    c: np.ndarray, a: np.ndarray, basis: np.ndarray, tol: float
+) -> tuple[bytes, bytes, float]:
+    """What an elimination of ``basis`` reads besides the basis itself."""
+    return a[:, basis].tobytes(), c[basis].tobytes(), tol
 
 
 def _canonical(
@@ -284,7 +277,7 @@ def _eliminate(
     c: np.ndarray, a: np.ndarray, basis: np.ndarray, tol: float
 ) -> Elimination:
     inverse = _basis_inverse(c, a, basis, tol)
-    return Elimination(weakref.ref(a), weakref.ref(c), basis, inverse)
+    return Elimination(basis.astype(np.int64), inverse, _key(c, a, basis, tol))
 
 
 def _basis_inverse(
@@ -404,8 +397,6 @@ def _two_phase(
 
     x = np.zeros(n)
     x[basis] = tableau[:-1, -1]
-    basis = basis.copy()
-    basis.flags.writeable = False  # so an elimination of it stays valid
     return SimplexResult("optimal", x, float(c @ x), basis, iterations)
 
 
@@ -438,9 +429,6 @@ def _certified(
     basis = result.basis
     if warm is not None and np.array_equal(np.sort(warm.basis), np.sort(basis)):
         result.elimination = warm
-        if np.array_equal(warm.basis, basis) and not warm.basis.flags.writeable:
-            # the very array, so that a warm start from it reuses ``warm``
-            result.basis = warm.basis
     else:
         result.elimination = _eliminate(c, a, basis, tol)
         result.eliminations += 1

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,7 +78,35 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert verdicts(steady, steady)["work_s"] == "no change"
 
 
+def test_a_wide_spread_is_no_change_when_every_after_run_reads_lower():
+    before = [1.00, 1.40, 1.02, 1.38, 1.01, 1.39]
+    after = [0.95, 0.96, 0.97, 0.95, 0.96, 0.97]
+    assert set(verdicts(before, after).values()) == {"no change"}
+    assert set(verdicts(before, after[:5] + [1.005]).values()) == {"unresolved"}
+
+
 @pytest.mark.parametrize("bound, expected", [(0.5, "no change"), (0.1, "worse")])
 def test_the_bound_is_read_per_metric(bound, expected):
     before, after = [1.0] * 4, [1.2] * 4
     assert verdicts(before, after, {**BOUNDS, "setup_s": bound})["setup_s"] == expected
+
+
+def test_revisions_are_recorded_by_commit_id(tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    monkeypatch.chdir(tmp_path)
+    git("init", "-q")
+    for message in ("first", "second"):
+        git("commit", "-q", "--allow-empty", "-m", message)
+    git("tag", "v1", "HEAD~1")
+    first, second = git("rev-parse", "HEAD~1"), git("rev-parse", "HEAD")
+    assert first != second
+    assert bench_pairs.commit("HEAD") == second
+    assert bench_pairs.commit("v1") == bench_pairs.commit(first[:7]) == first
+    assert bench_pairs.commit(str(tmp_path)) is None  # a directory, not a revision
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.commit("no-such-revision")

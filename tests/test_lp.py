@@ -1,6 +1,7 @@
 """Planning LP: construction, solving, perturbation, alpha extraction."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -266,18 +267,20 @@ def test_solver_gets_the_oracle_standard_form(monkeypatch):
         assert calls[0][1] is problem.a and calls[0][2] is problem.b
 
 
-def test_estimated_resolves_hand_over_the_last_standard_form(monkeypatch):
-    """A re-solve whose pmf and cost did not move gets the very read-only A
-    and c of the last one, so it can reuse that solve's elimination; a
-    moved pmf gets a new A. The answers are the reference simplex's."""
+def test_estimated_resolves_reuse_the_elimination_of_unmoved_columns(monkeypatch):
+    """A re-solve whose pmf and cost did not move reuses the last one's
+    elimination, though it gets new arrays; every answer is the reference
+    simplex's, and the problem keeps nothing of its solves."""
     calls = _capture_standard_form(monkeypatch)
     cfg, cm = reference_scenario()
     problem = build_lp(cfg, cm, eps_g=0.05)
+    before = pickle.dumps(problem)
     cost = perturb_cost(problem, 0.01, np.random.default_rng(0))
     mu = np.array([0.4, 0.2, 0.2, 0.2])
     lam = cfg.arrival_rates * 0.9
     steps = [(mu, lam), (mu.copy(), lam * 0.95), (mu[::-1], lam * 0.95)]
     solution = basis = None
+    eliminations = []
     for step_mu, step_lam in steps:
         warm = {} if solution is None else {
             "basis": solution.basis, "elimination": solution.elimination
@@ -289,11 +292,9 @@ def test_estimated_resolves_hand_over_the_last_standard_form(monkeypatch):
         assert solution.basis.tobytes() == want.basis.tobytes()
         assert (solution.iterations, solution.warm) == (want.iterations, want.warm)
         basis = want.basis
-    (c1, a1, _), (c2, a2, _), (c3, a3, _) = calls
-    assert a2 is a1 and c2 is c1 and c3 is c1 and a3 is not a1
-    for v in (a1, c1, a3):
-        assert not v.flags.writeable and v.flags.owndata
-    assert a1 is not problem.a and not problem.a.flags.writeable
+        eliminations.append(solution.eliminations)
+    assert eliminations[:2] == [1, 0] and eliminations[2] >= 1
+    assert pickle.dumps(problem) == before
 
 
 def test_learning_resolves_leave_the_problem_unchanged():
