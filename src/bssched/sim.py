@@ -21,14 +21,15 @@ call.
 All randomness comes from a single generator with a fixed draw order per
 slot: the arrivals first, then one uniform for the channel state, then
 whatever the policy consumes. Identical configuration and seed give
-byte-identical traces, and blocks change no draw. With Bernoulli arrivals
-pass 1 draws as many uniforms as the block's slots could take (no
-``step`` takes more than ``Policy.max_step_draws``) in one call, hands
-them out in that order, and gathers the arrivals in numpy. A policy with
-estimates gets its slot's arrivals as a function that builds them, from
-the same uniforms or counts, only when the policy reads them. The generator
-then moves by exactly the uniforms used. Binomial arrivals draw slot by
-slot, since a restart takes a uniform more.
+byte-identical traces, and blocks change no draw. Except under BTPE
+(below), pass 1 draws as many uniforms as the block's slots could take
+(no ``step`` takes more than ``Policy.max_step_draws``) in one call,
+hands them out in that order, and computes the block's arrivals in numpy
+after the loop, from each slot's window of uniforms. A policy with
+estimates gets its slot's arrivals as a function that builds them from
+the same uniforms (under BTPE, from the slot's counts), only when the
+policy reads them. The generator then moves by exactly the uniforms
+used.
 
 The arrivals are computed per link from the uniforms numpy's own
 samplers would consume, in row-major link order, so the stream is the
@@ -36,16 +37,24 @@ one ``rng.random((M, n)) < rates`` or ``rng.binomial(max_arrivals, rates
 / max_arrivals)`` gives. Bernoulli arrivals take all M * n uniforms and
 test the adjacency links. Binomial arrivals port numpy's inversion
 sampler: a link with p = 0 takes no uniform, p > 0.5 draws n - X(1 - p),
-and each draw takes one uniform plus one per restart. A regime in which
-some link expects more than 30 arrivals (or misses more than 30) needs
-numpy's BTPE sampler, and its slots call ``rng.binomial`` on the
-adjacency links.
+and each draw takes one uniform plus one per restart, a restart being a
+draw that passes the sampler's bound. ``fl(v - px)`` never decreases as
+the uniform v grows, so a link restarts on exactly the uniforms from its
+``_restart_threshold`` on. A block flags its uniforms at or above the
+least threshold and draws one more per flag, so that the restarts fit; a
+slot whose arrival window holds a flag draws its arrivals one by one from
+the block, restarts included, and the other slots' come from a (slots x
+K) matrix by the same px recursion, subtractions and tests, bit for bit.
+In practice no uniform is flagged (at max_arrivals 2 none restarts). A
+regime in which some link expects more than 30 arrivals (or misses more
+than 30) needs numpy's BTPE sampler; its slots call ``rng.binomial`` on
+the adjacency links, slot by slot, and have no block of uniforms.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
@@ -169,34 +178,91 @@ def _inversion_table(n: int, probs: list[tuple[int, float]]) -> list[tuple] | No
     return table
 
 
-def _inversion_arrivals(n: int, table: list[tuple], rng: np.random.Generator):
-    """One binomial(n, p) draw per ``_inversion_table`` entry, as the nonzero
-    (link, count) pairs, consuming the uniforms ``rng.binomial`` would.
-
-    A draw that passes ``bound`` restarts on the next uniform; uniforms
-    past the block are then drawn one at a time, next in the stream.
-    """
-    u = rng.random(len(table)).tolist()
-    i = 0
-    arrived = []
-    for link, flip, p, q, qn, bound in table:
-        x, px, v = 0, qn, u[i]
-        i += 1
+def _inversion_arrivals(n: int, table: list[tuple], random) -> list[int]:
+    """One binomial(n, p) draw per ``_inversion_table`` entry, in its order,
+    taking the uniforms ``rng.binomial`` would from ``random()``: one per
+    entry, and one more for each restart, next in the stream."""
+    counts = []
+    for _, flip, p, q, qn, bound in table:
+        x, px, v = 0, qn, random()
         while v > px:
             x += 1
             if x > bound:
-                x, px = 0, qn
-                u.append(rng.random())
-                v = u[i]
-                i += 1
+                x, px, v = 0, qn, random()
             else:
                 v -= px
                 px = ((n - x + 1) * p * px) / (x * q)
-        if flip:
-            x = n - x
-        if x:
-            arrived.append((link, x))
-    return arrived
+        counts.append(n - x if flip else x)
+    return counts
+
+
+def _restart_threshold(n: int, p: float, q: float, qn: float, bound: int) -> float:
+    """The least uniform k * 2**-53 on which numpy's inversion at (n, p)
+    passes ``bound`` and restarts, or 1.0 if none does.
+
+    ``fl(v - px)`` never decreases as v grows, so the uniforms that restart
+    are those from some k on, found by bisection over k.
+    """
+
+    def restarts(v: float) -> bool:
+        px = qn
+        for x in range(1, bound + 1):
+            if not v > px:
+                return False
+            v -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+        return v > px
+
+    lo, hi = -1, 2**53 - 1  # restarts(hi * 2**-53), unless none does
+    if not restarts(hi * 2.0**-53):
+        return 1.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if restarts(mid * 2.0**-53):
+            hi = mid
+        else:
+            lo = mid
+    return hi * 2.0**-53
+
+
+class _Inversion:
+    """A regime's ``_inversion_table`` with what a block needs to draw it
+    from a matrix of uniforms: the table's ``links``, ``steps`` (the px of
+    numpy's recursion, one row per count, +inf past a link's bound), the
+    ``flip`` columns and ``floor``, the least uniform that restarts some
+    link (1.0 if none does)."""
+
+    __slots__ = ("n", "table", "links", "steps", "flip", "floor")
+
+    def __init__(self, n: int, table: list[tuple]):
+        self.n, self.table = n, table
+        self.links = np.array([entry[0] for entry in table], dtype=np.intp)
+        bounds = [entry[5] for entry in table]
+        steps = np.full((max(bounds, default=0) + 1, len(table)), np.inf)
+        for col, (_, _, p, q, px, bound) in enumerate(table):
+            steps[0, col] = px
+            for x in range(1, bound + 1):
+                px = ((n - x + 1) * p * px) / (x * q)
+                steps[x, col] = px
+        self.steps = steps
+        self.flip = np.array([entry[1] for entry in table], dtype=bool)
+        distinct = {entry[2:] for entry in table}
+        self.floor = min([_restart_threshold(n, *entry) for entry in distinct], default=1.0)
+
+    def counts(self, u: np.ndarray) -> np.ndarray:
+        """Each row's draws from a (slots, K) matrix of uniforms, none of
+        which restarts: ``_inversion_arrivals``' subtractions and tests,
+        one count at a time over the whole matrix."""
+        count = np.zeros(u.shape, dtype=np.int64)
+        alive = np.ones(u.shape, dtype=bool)
+        for px in self.steps:
+            alive &= u > px
+            if not alive.any():
+                break
+            count += alive
+            u = u - px
+        count[:, self.flip] = self.n - count[:, self.flip]
+        return count
 
 
 def _scales(regime: RegimeSchedule | None) -> dict[int, float]:
@@ -273,6 +339,22 @@ def _count_reader(arrived: list[tuple], bounds: list[int], size: int):
     return arrivals
 
 
+def _inversion_reader(values, starts: list[int], inversion: _Inversion, size: int):
+    """The current slot's binomial arrival counts, drawn again from the
+    uniforms at the last of ``starts``, as a function that builds them when
+    called."""
+
+    def arrivals() -> list[int]:
+        counts = [0] * size
+        draws = iter(values[starts[-1] :]).__next__
+        drawn = _inversion_arrivals(inversion.n, inversion.table, draws)
+        for (link, *_), n_new in zip(inversion.table, drawn):
+            counts[link] = n_new
+        return counts
+
+    return arrivals
+
+
 def run(
     cfg: NetworkConfig,
     cm: ChannelModel,
@@ -320,7 +402,7 @@ def run(
     # numpy draws in row-major order, so the links are taken in that order
     links = sorted(m * cfg.n_users + u for m, u in cfg.adjacency)
     link_array = np.array(links, dtype=np.intp)
-    regimes = {}  # start slot: (rates, Bernoulli link rates or inversion table, BTPE p)
+    regimes = {}  # start slot: (rates, Bernoulli link rates or _Inversion, BTPE p)
     for start, scale in _scales(regime).items():
         rates = np.asarray(cfg.arrival_rates, dtype=float) * scale
         if bernoulli:
@@ -329,8 +411,10 @@ def run(
         flat = rates.ravel().tolist()
         probs = [(k, flat[k] / n_max) for k in links]
         table = _inversion_table(n_max, probs)
-        btpe = None if table is not None else np.array([p for _, p in probs])
-        regimes[start] = (rates, table, btpe)
+        if table is None:
+            regimes[start] = (rates, None, np.array([p for _, p in probs]))
+        else:
+            regimes[start] = (rates, _Inversion(n_max, table), None)
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
     has_estimates = policy.mu_hat is not None
@@ -364,15 +448,27 @@ def run(
         t1 = min(t0 + BLOCK_SLOTS, end, horizon + 1)
         slots, arrived, bounds = [], [], [0]
         source = rng
-        if bernoulli:  # every uniform the block's slots could take, at once
+        if btpe is None:  # every uniform the block's slots could take, at once
             saved = rng.bit_generator.state
-            u = rng.random((t1 - t0) * (size + 1 + policy.max_step_draws))
+            width = size if bernoulli else len(table.table)
+            budget = (t1 - t0) * (width + 1 + policy.max_step_draws)
+            u = rng.random(budget)
+            if not bernoulli:  # a flagged uniform may restart a draw: one more each
+                flags = np.flatnonzero(u >= table.floor).tolist()
+                while len(flags) > u.size - budget:
+                    more = rng.random(len(flags) - (u.size - budget))
+                    u = np.concatenate((u, more))
+                    flags = np.flatnonzero(u >= table.floor).tolist()
+                flags.append(u.size)
+                flag, scalar = flags[0], {}
             source = _Uniforms(u)
             starts = []
         a = None
         if has_estimates:  # only the learning policies read them, and mostly not
             if bernoulli:
                 a = _bernoulli_reader(u, starts, flat_rates)
+            elif btpe is None:
+                a = _inversion_reader(source.values, starts, table, size)
             else:
                 a = _count_reader(arrived, bounds, size)
         for t in range(t0, t1):
@@ -380,13 +476,17 @@ def run(
                 at = source.at
                 starts.append(at)
                 source.at = at + size
-            else:
-                if btpe is None:
-                    new = _inversion_arrivals(n_max, table, rng)
+            elif btpe is None:  # and so are these, unless a window holds a flag
+                at = source.at
+                starts.append(at)
+                if at + width > flag:
+                    scalar[t - t0] = _inversion_arrivals(n_max, table.table, source.random)
+                    flag = flags[bisect_left(flags, source.at)]
                 else:
-                    counts = rng.binomial(n_max, btpe).tolist()
-                    new = [(k, x) for k, x in zip(links, counts) if x]
-                arrived += new
+                    source.at = at + width
+            else:
+                counts = rng.binomial(n_max, btpe).tolist()
+                arrived += [(k, x) for k, x in zip(links, counts) if x]
                 bounds.append(len(arrived))
             h = draw_channel_index(cum_pmf, source)
             slots.append((h, *step(t, h, a, source)))
@@ -397,11 +497,18 @@ def run(
                     lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
                 trace.mu_err[t - 1] = mu_e
                 trace.lambda_err[t - 1] = lambda_e
-        if bernoulli:  # put the generator back, moved by the uniforms used
+        if btpe is None:  # put the generator back, moved by the uniforms used
             rng.bit_generator.state = saved
             rng.random(source.at)
-            slot, col = np.nonzero(u[np.add.outer(starts, link_array)] < table)
-            arrived = list(zip(link_array[col].tolist(), repeat(1)))
+            if bernoulli:
+                slot, col = np.nonzero(u[np.add.outer(starts, link_array)] < table)
+                arrived = list(zip(link_array[col].tolist(), repeat(1)))
+            else:
+                counts = table.counts(u[np.add.outer(starts, np.arange(width))])
+                for row, drawn in scalar.items():
+                    counts[row] = drawn
+                slot, col = np.nonzero(counts)
+                arrived = list(zip(table.links[col].tolist(), counts[slot, col].tolist()))
             bounds = np.searchsorted(slot, np.arange(t1 - t0 + 1)).tolist()
 
         # pass 2: serve and update the queues, slot by slot

@@ -669,8 +669,12 @@ def _ref_canonical(
     if basis is None:
         return None
     m, n = a.shape
-    basis = np.asarray(basis, dtype=np.int64)
-    if basis.shape != (m,) or not np.all((basis >= 0) & (basis < n)):
+    basis = np.asarray(basis)
+    if (
+        basis.dtype.kind not in "iu"  # a float basis is not truncated
+        or basis.shape != (m,)
+        or not np.all((basis >= 0) & (basis < n))
+    ):
         return None
     inverse = _ref_basis_inverse(c, a, basis, tol)
     if inverse is None:

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bssched.cli import bundled_scenario_path, load_scenario, reference_scenario
@@ -24,6 +24,7 @@ from bssched.sim import (
     SimTrace,
     _inversion_arrivals,
     _inversion_table,
+    _restart_threshold,
     arrival_errors,
     draw_channel_index,
     drift_diagnostic,
@@ -318,7 +319,7 @@ def test_inversion_port_equals_numpy_binomial(case, seed):
         force_next_uniform(port, k)
         force_next_uniform(numpy_rng, k)
     got = [0] * len(ps)
-    for link, x in _inversion_arrivals(n, table, port):
+    for (link, *_), x in zip(table, _inversion_arrivals(n, table, port.random)):
         got[link] = x
     assert got == numpy_rng.binomial(n, ps).tolist()
     assert port.random() == numpy_rng.random()
@@ -331,10 +332,78 @@ def test_inversion_restart_takes_the_next_uniform(n, p):
     port, numpy_rng, stream = (np.random.default_rng(8) for _ in range(3))
     for rng in (port, numpy_rng, stream):
         force_next_uniform(rng, 2**53 - 1)
-    got = dict(_inversion_arrivals(n, _inversion_table(n, [(0, p), (1, 0.3)]), port))
-    assert [got.get(0, 0), got.get(1, 0)] == numpy_rng.binomial(n, [p, 0.3]).tolist()
+    got = _inversion_arrivals(n, _inversion_table(n, [(0, p), (1, 0.3)]), port.random)
+    assert got == numpy_rng.binomial(n, [p, 0.3]).tolist()
     stream.random(3)  # two for link 0, one for link 1
     assert port.random() == numpy_rng.random() == stream.random()
+
+
+def _restarts(n, entry, u):
+    """Whether ``_inversion_arrivals`` restarts a draw for ``entry`` on the
+    first uniform ``u``, as it asks for a second one."""
+    taken = []
+
+    def random():
+        taken.append(u)
+        return u if len(taken) == 1 else 0.0
+
+    _inversion_arrivals(n, [entry], random)
+    return len(taken) > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    p=st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.01, 0.002, 0.2, 0.97, 0.25, 0.05]),
+    ),
+    data=st.data(),
+)
+def test_every_uniform_from_the_restart_threshold_on_restarts(n, p, data):
+    """``_restart_threshold`` is the least uniform k * 2**-53 that restarts
+    the draw: it and any uniform above it restart, the one just below does
+    not, and a threshold of 1.0 means not even 1 - 2**-53 restarts."""
+    table = _inversion_table(n, [(0, p)])
+    if not table:  # p = 0, or BTPE
+        return
+    entry = table[0]
+    threshold = _restart_threshold(n, *entry[2:])
+    if threshold == 1.0:
+        assert not _restarts(n, entry, 1.0 - 2.0**-53)
+        return
+    k = int(threshold * 2.0**53)
+    assert k * 2.0**-53 == threshold
+    above = data.draw(st.integers(k, 2**53 - 1))
+    assert _restarts(n, entry, threshold)
+    assert _restarts(n, entry, above * 2.0**-53)
+    assert k == 0 or not _restarts(n, entry, (k - 1) * 2.0**-53)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_binomial_draw(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_block_counts_equal_the_scalar_sampler(case, seed, data):
+    """``_Inversion.counts`` on a matrix of uniforms gives, row by row, what
+    ``_inversion_arrivals`` gives on that row, with uniforms drawn at the
+    inversion edges, a step either side of them, and anywhere below the
+    least restarting uniform."""
+    n, ps, _ = case
+    table = _inversion_table(n, list(enumerate(ps)))
+    if not table:
+        return
+    inversion = sim._Inversion(n, table)
+    edges = [k for p in ps for c in _cumulative_pmf(n, p) if c < 1.0
+             for k in (int(c * 2.0**53) + d for d in (-1, 0, 1))]
+    below = int(inversion.floor * 2.0**53) - 1
+    k = st.one_of(st.integers(0, below), st.sampled_from(edges or [0]).map(
+        lambda e: min(max(e, 0), below)))
+    rows = data.draw(st.lists(st.lists(k, min_size=len(table), max_size=len(table)),
+                              min_size=1, max_size=6))
+    u = np.array(rows, dtype=float) * 2.0**-53
+    rng = np.random.default_rng(seed)
+    u[0] = np.minimum(rng.random(len(table)), below * 2.0**-53)
+    expected = [_inversion_arrivals(n, table, iter(row).__next__) for row in u.tolist()]
+    assert inversion.counts(u).tolist() == expected
 
 
 def test_bernoulli_rejects_scaled_rate_above_one(reference):
@@ -715,11 +784,15 @@ def _engine_case(case):
         return dataclasses.replace(cfg, **costs), cm, {"eps_s": 0.3}, {"horizon": 600}
     if case == "switch_gap":
         return cfg, cm, {"eps_s": 0.3, "min_switch_gap": 3}, {"horizon": 600}
-    if case in ("block_regime", "block_every_slot"):
+    if case in ("block_regime", "block_every_slot", "binomial_every_slot"):
         # one change inside a block, one on a block boundary
         regime = RegimeSchedule(changes=((10, 0.5), (2 * SMALL_BLOCK + 1, 1.5)))
-        params = {"eps_s": 0.3, "update_arrivals_every_slot": case == "block_every_slot"}
-        return cfg, cm, params, {"horizon": 60, "regime": regime}
+        params = {"eps_s": 0.3, "update_arrivals_every_slot": case != "block_regime"}
+        kwargs = {"horizon": 60, "regime": regime}
+        if case == "binomial_every_slot":
+            cfg = dataclasses.replace(cfg, max_arrivals=2)
+            kwargs["arrival_law"] = "binomial"
+        return cfg, cm, params, kwargs
     if case.startswith("block_horizon"):
         horizon = SMALL_BLOCK + int(case.rsplit("_", 1)[1])
         q0 = np.full((3, 5), 2)
@@ -740,11 +813,12 @@ ENGINE_CASES = [
     "extended_costs",
     "block_regime",
     "block_every_slot",
+    "binomial_every_slot",
     "block_horizon_-1",
     "block_horizon_0",
     "block_horizon_1",
 ]
-SMALL_BLOCK = 16  # BLOCK_SLOTS in the "block_*" cases
+SMALL_BLOCK = 16  # BLOCK_SLOTS in the "block_*" and "binomial_every_slot" cases
 
 
 @pytest.mark.parametrize("case", ENGINE_CASES)
@@ -755,12 +829,23 @@ def test_run_equals_the_region_based_reference_engine(name, case, monkeypatch):
     matrix, field by field, and leaves the generator where the slot-by-slot
     reference leaves it."""
     cfg, cm, params, kwargs = _engine_case(case)
-    if case.startswith("block_"):
+    if case.startswith("block_") or case == "binomial_every_slot":
         monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+    fast = _assert_run_equals_reference(cfg, cm, name, params, kwargs)
+    assert fast.served.any()
+    assert name != "algorithm1" or fast.explore.any()
+
+
+def _assert_run_equals_reference(cfg, cm, name, params, kwargs, start=None):
+    """Run ``name`` by ``run`` and by ``reference_run`` from seed 3, after
+    ``start(rng)`` once the policy is built; assert every trace field and
+    the generator's next uniform equal, and return ``run``'s trace."""
     traces, next_uniforms = [], []
     for engine in (run, reference_run):
         rng = np.random.default_rng(3)
         policy = make_policy(name, cfg, cm, rng, params)
+        if start is not None:
+            start(rng)
         traces.append(engine(cfg, cm, policy, rng=rng, **kwargs))
         next_uniforms.append(rng.random())
     assert next_uniforms[0] == next_uniforms[1]
@@ -771,8 +856,95 @@ def test_run_equals_the_region_based_reference_engine(name, case, monkeypatch):
         if isinstance(expected, np.ndarray):
             assert got.dtype == expected.dtype, field.name
         np.testing.assert_array_equal(got, expected, err_msg=field.name)
-    assert fast.served.any()
-    assert name != "algorithm1" or fast.explore.any()
+    return fast
+
+
+RESTART_LINKS = 10  # adjacency links of the reference network, each with p > 0
+
+
+def _last_uniform_at(position):
+    """A start that makes a generator's uniform at ``position`` from now
+    1 - 2**-53, the largest ``random()`` gives."""
+
+    def start(rng):
+        force_next_uniform(rng, 2**53 - 1)
+        rng.bit_generator.advance((1 << 128) - position)  # PCG64 steps back
+
+    return start
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(position=st.integers(0, 3 * SMALL_BLOCK * (RESTART_LINKS + 1) - 1))
+@example(position=0)  # the restarting link's uniform in slot 1
+def test_a_restart_anywhere_in_the_stream_gives_the_reference_run(name, position):
+    """Binomial(100, 0.01) on one link restarts on 1 - 2**-53. With that
+    uniform forced at ``position`` of a three-block run (in some slot's
+    arrivals, channel draw or policy draws), the slot whose arrivals hold it
+    draws them one by one from the block, restarts included, and every
+    other slot from the block's matrix; the run equals the reference."""
+    cfg, cm = _wide_binomial(*reference_scenario(), 100, 4, {(0, 0): 1.0})
+    assert len(cfg.adjacency) == RESTART_LINKS
+    kwargs = {"horizon": 3 * SMALL_BLOCK, "arrival_law": "binomial"}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+        _assert_run_equals_reference(
+            cfg, cm, name, {"eps_s": 0.1}, kwargs, _last_uniform_at(position)
+        )
+
+
+def test_every_window_that_holds_a_flag_takes_the_scalar_path(reference, monkeypatch):
+    """With the flag floor lowered to 0.9, about a tenth of the uniforms
+    are flagged. Every slot whose arrival window holds one, at any link,
+    draws its arrivals from the block one by one, in every block, and the
+    run still equals the reference: a flag that restarts nothing changes
+    no draw."""
+    cfg = dataclasses.replace(reference[0], max_arrivals=2)
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+    monkeypatch.setattr(sim, "_restart_threshold", lambda *entry: 0.9)
+    calls = []
+    sampler = sim._inversion_arrivals
+
+    def counted(n, table, random):
+        source = random.__self__
+        if isinstance(source, sim._Uniforms):
+            calls.append((source, source.at))
+        return sampler(n, table, random)
+
+    monkeypatch.setattr(sim, "_inversion_arrivals", counted)
+    horizon = 3 * SMALL_BLOCK
+    kwargs = {"horizon": horizon, "arrival_law": "binomial"}
+    _assert_run_equals_reference(cfg, reference[1], "always_on", {}, kwargs)
+    # always_on takes each slot's 10 arrival uniforms and one channel uniform
+    stream = np.random.default_rng(3).random(horizon * 11).reshape(horizon, 11)
+    flagged = np.flatnonzero((stream[:, :10] >= 0.9).any(axis=1))
+    assert flagged.size > horizon // 2
+    assert (stream[flagged, 9] >= 0.9).any()  # at a window's last link too
+    blocks = list(dict.fromkeys(source for source, _ in calls))
+    scalar = {blocks.index(source) * SMALL_BLOCK + at // 11 for source, at in calls}
+    assert set(flagged.tolist()) <= scalar
+
+
+def test_a_restart_past_the_blocks_budget_draws_one_uniform_more(monkeypatch):
+    """With no spare policy draws, a restart in the last slot's arrivals
+    needs a uniform past the block's budget; the block draws it, and the
+    run equals the reference."""
+    cfg, cm = _wide_binomial(*reference_scenario(), 100, 4, {(0, 0): 1.0})
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+    monkeypatch.setattr(AlwaysOnMaxWeight, "max_step_draws", 0)  # it draws none
+    sizes = []
+    uniforms = sim._Uniforms
+
+    def counted(values):
+        sizes.append(len(values))
+        return uniforms(values)
+
+    monkeypatch.setattr(sim, "_Uniforms", counted)
+    last_slot = (SMALL_BLOCK - 1) * (RESTART_LINKS + 1)  # its link (0, 0)
+    kwargs = {"horizon": 2 * SMALL_BLOCK, "arrival_law": "binomial"}
+    _assert_run_equals_reference(cfg, cm, "always_on", {}, kwargs, _last_uniform_at(last_slot))
+    budget = SMALL_BLOCK * (RESTART_LINKS + 1)
+    assert sizes == [budget + 1, budget]
 
 
 @pytest.mark.parametrize(
@@ -781,17 +953,23 @@ def test_run_equals_the_region_based_reference_engine(name, case, monkeypatch):
         ("always_on", "bernoulli", 3),
         ("static_split_mw", "bernoulli", 3),
         ("static_split_static", "bernoulli", 3),
-        ("static_split_mw", "binomial", 0),
+        ("static_split_mw", "binomial", 3),
+        ("static_split_mw", "btpe", 0),
         ("algorithm1", "bernoulli", 3),
+        ("algorithm1", "binomial", 3),
         ("algorithm1_tracking", "bernoulli", 3),
     ],
 )
 def test_which_runs_predraw_their_blocks(reference, monkeypatch, name, law, blocks):
-    """Every policy under Bernoulli arrivals takes each block's uniforms at
-    once; binomial arrivals draw slot by slot."""
+    """Every policy under Bernoulli or inversion-law binomial arrivals takes
+    each block's uniforms at once; a regime that needs BTPE draws slot by
+    slot."""
     cfg, cm = reference
     if law == "binomial":
         cfg = dataclasses.replace(cfg, max_arrivals=2)
+    if law == "btpe":  # rate 40 of 80
+        cfg, cm = _wide_binomial(cfg, cm, 80, 40, {(0, 0): 40.0})
+        law = "binomial"
     calls = []
     uniforms = sim._Uniforms
 
@@ -819,7 +997,7 @@ def test_learning_policy_builds_its_arrivals_only_when_read(
     if law == "binomial":
         cfg = dataclasses.replace(cfg, max_arrivals=2)
     built = []
-    for name in ("_bernoulli_reader", "_count_reader"):
+    for name in ("_bernoulli_reader", "_inversion_reader"):
 
         def counting(*args, reader=getattr(sim, name)):
             arrivals = reader(*args)

@@ -225,6 +225,8 @@ def test_warm_start_detects_infeasibility():
     ],
 )
 def test_unusable_basis_falls_back_to_cold(basis):
+    """The solver, and the reference solver alike, ignore the basis and
+    solve cold."""
     a = np.array([[1.0, 2.0, 1.0, 0.0], [2.0, 4.0, 0.0, 1.0]])
     b = np.array([3.0, 5.0])
     c = np.array([-1.0, -1.5, 0.0, 0.0])
@@ -233,6 +235,7 @@ def test_unusable_basis_falls_back_to_cold(basis):
     assert not res.warm
     assert res.iterations == cold.iterations
     assert np.array_equal(res.x, cold.x) and np.array_equal(res.basis, cold.basis)
+    _assert_same_answer(res, reference_solve(c, a, b, basis=np.array(basis)))
 
 
 def test_short_basis_after_redundant_rows_restarts_cold():
