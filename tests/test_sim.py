@@ -381,8 +381,8 @@ def test_every_uniform_from_the_restart_threshold_on_restarts(n, p, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_binomial_draw(), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_block_counts_equal_the_scalar_sampler(case, seed, data):
+@given(case=_binomial_draw(), data=st.data())
+def test_block_counts_equal_the_scalar_sampler(case, data):
     """``_Inversion.counts`` on a matrix of uniforms gives, row by row, what
     ``_inversion_arrivals`` gives on that row, with uniforms drawn at the
     inversion edges, a step either side of them, and anywhere below the
@@ -392,16 +392,17 @@ def test_block_counts_equal_the_scalar_sampler(case, seed, data):
     if not table:
         return
     inversion = sim._Inversion(n, table)
-    edges = [k for p in ps for c in _cumulative_pmf(n, p) if c < 1.0
-             for k in (int(c * 2.0**53) + d for d in (-1, 0, 1))]
-    below = int(inversion.floor * 2.0**53) - 1
-    k = st.one_of(st.integers(0, below), st.sampled_from(edges or [0]).map(
-        lambda e: min(max(e, 0), below)))
-    rows = data.draw(st.lists(st.lists(k, min_size=len(table), max_size=len(table)),
-                              min_size=1, max_size=6))
-    u = np.array(rows, dtype=float) * 2.0**-53
-    rng = np.random.default_rng(seed)
-    u[0] = np.minimum(rng.random(len(table)), below * 2.0**-53)
+    below = int(inversion.floor * 2.0**53) - 1  # as k of k * 2**-53
+    edges = [
+        min(max(int(c * 2.0**53) + step, 0), below)
+        for p in ps
+        for c in _cumulative_pmf(n, p)
+        if c < 1.0
+        for step in (-1, 0, 1)
+    ]
+    k = st.one_of(st.integers(0, below), st.sampled_from(edges or [0]))
+    row = st.lists(k, min_size=len(table), max_size=len(table))
+    u = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=float) * 2.0**-53
     expected = [_inversion_arrivals(n, table, iter(row).__next__) for row in u.tolist()]
     assert inversion.counts(u).tolist() == expected
 
