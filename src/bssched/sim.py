@@ -196,22 +196,28 @@ def _inversion_arrivals(n: int, table: list[tuple], random) -> list[int]:
     return counts
 
 
-def _restart_threshold(n: int, p: float, q: float, qn: float, bound: int) -> float:
-    """The least uniform k * 2**-53 on which numpy's inversion at (n, p)
-    passes ``bound`` and restarts, or 1.0 if none does.
+def _px_steps(n: int, p: float, q: float, qn: float, bound: int) -> list[float]:
+    """The px that numpy's inversion at (n, p) tests for counts 0 to ``bound``."""
+    steps = [qn]
+    for x in range(1, bound + 1):
+        steps.append(((n - x + 1) * p * steps[-1]) / (x * q))
+    return steps
+
+
+def _restart_threshold(steps: list[float]) -> float:
+    """The least uniform k * 2**-53 on which a draw testing ``_px_steps``
+    passes its bound and restarts, or 1.0 if none does.
 
     ``fl(v - px)`` never decreases as v grows, so the uniforms that restart
     are those from some k on, found by bisection over k.
     """
 
     def restarts(v: float) -> bool:
-        px = qn
-        for x in range(1, bound + 1):
+        for px in steps:
             if not v > px:
                 return False
             v -= px
-            px = ((n - x + 1) * p * px) / (x * q)
-        return v > px
+        return True
 
     lo, hi = -1, 2**53 - 1  # restarts(hi * 2**-53), unless none does
     if not restarts(hi * 2.0**-53):
@@ -227,27 +233,23 @@ def _restart_threshold(n: int, p: float, q: float, qn: float, bound: int) -> flo
 
 class _Inversion:
     """A regime's ``_inversion_table`` with what a block needs to draw it
-    from a matrix of uniforms: the table's ``links``, ``steps`` (the px of
-    numpy's recursion, one row per count, +inf past a link's bound), the
-    ``flip`` columns and ``floor``, the least uniform that restarts some
-    link (1.0 if none does)."""
+    from a matrix of uniforms: the table's ``links``, ``steps`` (each
+    link's ``_px_steps`` as a column, +inf past its bound), the ``flip``
+    columns and ``floor``, the least uniform that restarts some link (1.0
+    if none does)."""
 
     __slots__ = ("n", "table", "links", "steps", "flip", "floor")
 
     def __init__(self, n: int, table: list[tuple]):
         self.n, self.table = n, table
         self.links = np.array([entry[0] for entry in table], dtype=np.intp)
-        bounds = [entry[5] for entry in table]
-        steps = np.full((max(bounds, default=0) + 1, len(table)), np.inf)
-        for col, (_, _, p, q, px, bound) in enumerate(table):
-            steps[0, col] = px
-            for x in range(1, bound + 1):
-                px = ((n - x + 1) * p * px) / (x * q)
-                steps[x, col] = px
-        self.steps = steps
+        columns = [_px_steps(n, *entry[2:]) for entry in table]
+        self.steps = np.full((max(map(len, columns), default=1), len(table)), np.inf)
+        for col, column in enumerate(columns):
+            self.steps[: len(column), col] = column
         self.flip = np.array([entry[1] for entry in table], dtype=bool)
-        distinct = {entry[2:] for entry in table}
-        self.floor = min([_restart_threshold(n, *entry) for entry in distinct], default=1.0)
+        distinct = {tuple(column) for column in columns}  # one per distinct p
+        self.floor = min(map(_restart_threshold, distinct), default=1.0)
 
     def counts(self, u: np.ndarray) -> np.ndarray:
         """Each row's draws from a (slots, K) matrix of uniforms, none of

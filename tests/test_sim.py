@@ -368,7 +368,7 @@ def test_every_uniform_from_the_restart_threshold_on_restarts(n, p, data):
     if not table:  # p = 0, or BTPE
         return
     entry = table[0]
-    threshold = _restart_threshold(n, *entry[2:])
+    threshold = _restart_threshold(sim._px_steps(n, *entry[2:]))
     if threshold == 1.0:
         assert not _restarts(n, entry, 1.0 - 2.0**-53)
         return
@@ -902,7 +902,7 @@ def test_every_window_that_holds_a_flag_takes_the_scalar_path(reference, monkeyp
     no draw."""
     cfg = dataclasses.replace(reference[0], max_arrivals=2)
     monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
-    monkeypatch.setattr(sim, "_restart_threshold", lambda *entry: 0.9)
+    monkeypatch.setattr(sim, "_restart_threshold", lambda steps: 0.9)
     calls = []
     sampler = sim._inversion_arrivals
 
