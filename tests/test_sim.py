@@ -22,8 +22,10 @@ from bssched.sim import (
     ARRIVAL_LAWS,
     RegimeSchedule,
     SimTrace,
+    _Inversion,
     _inversion_arrivals,
     _inversion_table,
+    _px_steps,
     _restart_threshold,
     arrival_errors,
     draw_channel_index,
@@ -368,7 +370,7 @@ def test_every_uniform_from_the_restart_threshold_on_restarts(n, p, data):
     if not table:  # p = 0, or BTPE
         return
     entry = table[0]
-    threshold = _restart_threshold(sim._px_steps(n, *entry[2:]))
+    threshold = _restart_threshold(_px_steps(n, *entry[2:]))
     if threshold == 1.0:
         assert not _restarts(n, entry, 1.0 - 2.0**-53)
         return
@@ -391,7 +393,7 @@ def test_block_counts_equal_the_scalar_sampler(case, data):
     table = _inversion_table(n, list(enumerate(ps)))
     if not table:
         return
-    inversion = sim._Inversion(n, table)
+    inversion = _Inversion(n, table)
     below = int(inversion.floor * 2.0**53) - 1  # as k of k * 2**-53
     edges = [
         min(max(int(c * 2.0**53) + step, 0), below)
