@@ -13,11 +13,10 @@ a directory). For each workload the two sides run one after the
 other for the given number of pairs, ``before`` first in even pairs and
 ``after`` first in odd ones. Both sides of pair i run with ``--seed i``, so
 the pairs span benchmark seeds. Every run's final JSON line is kept as
-printed, and when a pair ends its four end-to-end metrics, before -> after,
-go to stderr. A run that reports ``"correct": false`` or a failed command,
-exits non-zero or ends on a line that is not JSON stops the script with
-exit status 1, naming the workload, pair and side; a run that did not
-report also shows its exit code and last output lines. The summary
+printed. A run that reports ``"correct": false`` or a failed command, exits
+non-zero or ends on a line that is not JSON stops the script with exit
+status 1, naming the workload, pair and side; a run that did not report
+also shows its exit code and last output lines. The summary
 gives, per end-to-end metric, the median and quartile spread of each side,
 the number of pairs the ``after`` side won (lower is better for every
 metric) and a verdict, the first of these that holds:
@@ -134,16 +133,6 @@ def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
     return out
 
 
-def progress(label: str, pair: dict) -> str:
-    """``label`` and each end-to-end metric of one pair, before -> after."""
-    values = [
-        f"{name} {pair['before']['metrics'][name]['value']:.3f} -> "
-        f"{pair['after']['metrics'][name]['value']:.3f}"
-        for name in METRICS
-    ]
-    return f"{label}: " + ", ".join(values)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", required=True, help="git revision or directory")
@@ -190,7 +179,10 @@ def main() -> int:
                         return 1
                     pair[side] = result
                 pairs.append({"first": order[0], "seed": i, **pair})
-                print(progress(f"{workload} pair {i + 1}/{count}", pair), file=sys.stderr)
+                print(f"{workload} pair {i + 1}/{count}: command_s "
+                      f"{pair['before']['metrics']['command_s']['value']:.3f} -> "
+                      f"{pair['after']['metrics']['command_s']['value']:.3f}",
+                      file=sys.stderr)
             record["workloads"][workload] = {"summary": summarize(pairs, bounds),
                                              "pairs": pairs}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

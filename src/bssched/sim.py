@@ -21,15 +21,15 @@ call.
 All randomness comes from a single generator with a fixed draw order per
 slot: the arrivals first, then one uniform for the channel state, then
 whatever the policy consumes. Identical configuration and seed give
-byte-identical traces, and blocks change no draw. Except under BTPE
-(below), pass 1 draws as many uniforms as the block's slots could take
-(no ``step`` takes more than ``Policy.max_step_draws``) in one call,
-hands them out in that order, and computes the block's arrivals in numpy
-after the loop, from each slot's window of uniforms. A policy with
-estimates gets its slot's arrivals as a function that builds them from
-the same uniforms (under BTPE, from the slot's counts), only when the
-policy reads them. The generator then moves by exactly the uniforms
-used.
+byte-identical traces, and blocks change no draw. Except in a regime
+drawn slot by slot (below), pass 1 draws as many uniforms as the block's
+slots could take (no ``step`` takes more than ``Policy.max_step_draws``)
+in one call, hands them out in that order, and computes the block's
+arrivals in numpy after the loop, from each slot's window of uniforms. A
+policy with estimates gets its slot's arrivals as a function that builds
+them from the same uniforms (or, slot by slot, from the slot's counts),
+only when the policy reads them. The generator then moves by exactly the
+uniforms used.
 
 The arrivals are computed per link from the uniforms numpy's own
 samplers would consume, in row-major link order, so the stream is the
@@ -38,23 +38,21 @@ one ``rng.random((M, n)) < rates`` or ``rng.binomial(max_arrivals, rates
 test the adjacency links. Binomial arrivals port numpy's inversion
 sampler: a link with p = 0 takes no uniform, p > 0.5 draws n - X(1 - p),
 and each draw takes one uniform plus one per restart, a restart being a
-draw that passes the sampler's bound. ``fl(v - px)`` never decreases as
-the uniform v grows, so a link restarts on exactly the uniforms from its
-``_restart_threshold`` on. A block flags its uniforms at or above the
-least threshold and draws one more per flag, so that the restarts fit; a
-slot whose arrival window holds a flag draws its arrivals one by one from
-the block, restarts included, and the other slots' come from a (slots x
-K) matrix by the same px recursion, subtractions and tests, bit for bit.
-In practice no uniform is flagged (at max_arrivals 2 none restarts). A
-regime in which some link expects more than 30 arrivals (or misses more
-than 30) needs numpy's BTPE sampler; its slots call ``rng.binomial`` on
-the adjacency links, slot by slot, and have no block of uniforms.
+draw that passes the sampler's bound. A block's counts come from a
+(slots x K) matrix of uniforms by the sampler's own px recursion,
+subtractions and tests, bit for bit, which holds while no uniform
+restarts. ``fl(v - px)`` never decreases as the uniform v grows, so some
+uniform restarts a link exactly when 1 - 2**-53 does (``_can_restart``);
+at max_arrivals 2 none does. A regime in which some link can restart, or
+in which some link expects more than 30 arrivals (or misses more than 30)
+and so needs numpy's BTPE sampler, calls ``rng.binomial`` on the
+adjacency links, slot by slot, and has no block of uniforms.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
@@ -204,41 +202,26 @@ def _px_steps(n: int, p: float, q: float, qn: float, bound: int) -> list[float]:
     return steps
 
 
-def _restart_threshold(steps: list[float]) -> float:
-    """The least uniform k * 2**-53 on which a draw testing ``_px_steps``
-    passes its bound and restarts, or 1.0 if none does.
-
-    ``fl(v - px)`` never decreases as v grows, so the uniforms that restart
-    are those from some k on, found by bisection over k.
-    """
-
-    def restarts(v: float) -> bool:
-        for px in steps:
-            if not v > px:
-                return False
-            v -= px
-        return True
-
-    lo, hi = -1, 2**53 - 1  # restarts(hi * 2**-53), unless none does
-    if not restarts(hi * 2.0**-53):
-        return 1.0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if restarts(mid * 2.0**-53):
-            hi = mid
-        else:
-            lo = mid
-    return hi * 2.0**-53
+def _can_restart(steps: list[float]) -> bool:
+    """Whether some uniform makes a draw testing ``_px_steps`` pass its bound
+    and restart. ``fl(v - px)`` never decreases as v grows, so one does
+    exactly when the largest, 1 - 2**-53, does."""
+    v = 1.0 - 2.0**-53
+    for px in steps:
+        if not v > px:
+            return False
+        v -= px
+    return True
 
 
 class _Inversion:
     """A regime's ``_inversion_table`` with what a block needs to draw it
     from a matrix of uniforms: the table's ``links``, ``steps`` (each
     link's ``_px_steps`` as a column, +inf past its bound), the ``flip``
-    columns and ``floor``, the least uniform that restarts some link (1.0
-    if none does)."""
+    columns, and whether some link ``restarts`` on some uniform, in which
+    case the regime is drawn by ``rng.binomial`` instead."""
 
-    __slots__ = ("n", "table", "links", "steps", "flip", "floor")
+    __slots__ = ("n", "table", "links", "steps", "flip", "restarts")
 
     def __init__(self, n: int, table: list[tuple]):
         self.n, self.table = n, table
@@ -248,8 +231,7 @@ class _Inversion:
         for col, column in enumerate(columns):
             self.steps[: len(column), col] = column
         self.flip = np.array([entry[1] for entry in table], dtype=bool)
-        distinct = {tuple(column) for column in columns}  # one per distinct p
-        self.floor = min(map(_restart_threshold, distinct), default=1.0)
+        self.restarts = any(map(_can_restart, columns))
 
     def counts(self, u: np.ndarray) -> np.ndarray:
         """Each row's draws from a (slots, K) matrix of uniforms, none of
@@ -404,7 +386,7 @@ def run(
     # numpy draws in row-major order, so the links are taken in that order
     links = sorted(m * cfg.n_users + u for m, u in cfg.adjacency)
     link_array = np.array(links, dtype=np.intp)
-    regimes = {}  # start slot: (rates, Bernoulli link rates or _Inversion, BTPE p)
+    regimes = {}  # start slot: (rates, Bernoulli link rates or _Inversion, per-slot p)
     for start, scale in _scales(regime).items():
         rates = np.asarray(cfg.arrival_rates, dtype=float) * scale
         if bernoulli:
@@ -413,10 +395,11 @@ def run(
         flat = rates.ravel().tolist()
         probs = [(k, flat[k] / n_max) for k in links]
         table = _inversion_table(n_max, probs)
-        if table is None:
+        inversion = None if table is None else _Inversion(n_max, table)
+        if inversion is None or inversion.restarts:  # rng.binomial, slot by slot
             regimes[start] = (rates, None, np.array([p for _, p in probs]))
         else:
-            regimes[start] = (rates, _Inversion(n_max, table), None)
+            regimes[start] = (rates, inversion, None)
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
     has_estimates = policy.mu_hat is not None
@@ -443,51 +426,34 @@ def run(
     while t0 <= horizon:
         # pass 1: the block's draws, none of which reads the queues
         if t0 in regimes:
-            rates_now, table, btpe = regimes[t0]
+            rates_now, table, per_slot = regimes[t0]
             flat_rates = rates_now.ravel()
             seen_version = None  # lambda_err is against the new rates
             end = min([s for s in regimes if s > t0], default=horizon + 1)
         t1 = min(t0 + BLOCK_SLOTS, end, horizon + 1)
         slots, arrived, bounds = [], [], [0]
         source = rng
-        if btpe is None:  # every uniform the block's slots could take, at once
+        if per_slot is None:  # every uniform the block's slots could take, at once
             saved = rng.bit_generator.state
             width = size if bernoulli else len(table.table)
-            budget = (t1 - t0) * (width + 1 + policy.max_step_draws)
-            u = rng.random(budget)
-            if not bernoulli:  # a flagged uniform may restart a draw: one more each
-                flags = np.flatnonzero(u >= table.floor).tolist()
-                while len(flags) > u.size - budget:
-                    more = rng.random(len(flags) - (u.size - budget))
-                    u = np.concatenate((u, more))
-                    flags = np.flatnonzero(u >= table.floor).tolist()
-                flags.append(u.size)
-                flag, scalar = flags[0], {}
+            u = rng.random((t1 - t0) * (width + 1 + policy.max_step_draws))
             source = _Uniforms(u)
             starts = []
         a = None
         if has_estimates:  # only the learning policies read them, and mostly not
             if bernoulli:
                 a = _bernoulli_reader(u, starts, flat_rates)
-            elif btpe is None:
+            elif per_slot is None:
                 a = _inversion_reader(source.values, starts, table, size)
             else:
                 a = _count_reader(arrived, bounds, size)
         for t in range(t0, t1):
-            if bernoulli:  # the arrivals are gathered in numpy after the loop
+            if per_slot is None:  # the arrivals are computed in numpy after the loop
                 at = source.at
                 starts.append(at)
-                source.at = at + size
-            elif btpe is None:  # and so are these, unless a window holds a flag
-                at = source.at
-                starts.append(at)
-                if at + width > flag:
-                    scalar[t - t0] = _inversion_arrivals(n_max, table.table, source.random)
-                    flag = flags[bisect_left(flags, source.at)]
-                else:
-                    source.at = at + width
+                source.at = at + width
             else:
-                counts = rng.binomial(n_max, btpe).tolist()
+                counts = rng.binomial(n_max, per_slot).tolist()
                 arrived += [(k, x) for k, x in zip(links, counts) if x]
                 bounds.append(len(arrived))
             h = draw_channel_index(cum_pmf, source)
@@ -499,7 +465,7 @@ def run(
                     lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
                 trace.mu_err[t - 1] = mu_e
                 trace.lambda_err[t - 1] = lambda_e
-        if btpe is None:  # put the generator back, moved by the uniforms used
+        if per_slot is None:  # put the generator back, moved by the uniforms used
             rng.bit_generator.state = saved
             rng.random(source.at)
             if bernoulli:
@@ -507,8 +473,6 @@ def run(
                 arrived = list(zip(link_array[col].tolist(), repeat(1)))
             else:
                 counts = table.counts(u[np.add.outer(starts, np.arange(width))])
-                for row, drawn in scalar.items():
-                    counts[row] = drawn
                 slot, col = np.nonzero(counts)
                 arrived = list(zip(table.links[col].tolist(), counts[slot, col].tolist()))
             bounds = np.searchsorted(slot, np.arange(t1 - t0 + 1)).tolist()

@@ -15,18 +15,13 @@ spec.loader.exec_module(bench_pairs)
 BOUNDS = {"command_s": 0.25, "setup_s": 0.25, "work_s": 0.25, "peak_rss_mb": 0.05}
 
 
-def result(values):
-    """A run whose metrics read ``values`` ({name: value})."""
-    return {"metrics": {name: {"value": value} for name, value in values.items()}}
-
-
 def pairs_of(before, after):
     """Pairs whose every metric reads ``before[i]`` and ``after[i]``."""
 
-    def same(value):
-        return result(dict.fromkeys(bench_pairs.METRICS, value))
+    def result(value):
+        return {"metrics": {name: {"value": value} for name in bench_pairs.METRICS}}
 
-    return [{"before": same(b), "after": same(a)} for b, a in zip(before, after)]
+    return [{"before": result(b), "after": result(a)} for b, a in zip(before, after)]
 
 
 def verdicts(before, after, bounds=BOUNDS):
@@ -115,15 +110,3 @@ def test_revisions_are_recorded_by_commit_id(tmp_path, monkeypatch):
     assert bench_pairs.commit(str(tmp_path)) is None  # a directory, not a revision
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.commit("no-such-revision")
-
-
-def test_a_pairs_progress_line_shows_every_end_to_end_metric():
-    before = {"command_s": 0.2504, "setup_s": 0.15, "work_s": 0.0996, "peak_rss_mb": 36.77}
-    after = {"command_s": 0.2, "setup_s": 0.1499, "work_s": 0.0543, "peak_rss_mb": 37.06}
-    line = bench_pairs.progress(
-        "slots_binomial pair 3/10", {"before": result(before), "after": result(after)}
-    )
-    assert line == (
-        "slots_binomial pair 3/10: command_s 0.250 -> 0.200, setup_s 0.150 -> 0.150, "
-        "work_s 0.100 -> 0.054, peak_rss_mb 36.770 -> 37.060"
-    )

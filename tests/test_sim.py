@@ -22,11 +22,11 @@ from bssched.sim import (
     ARRIVAL_LAWS,
     RegimeSchedule,
     SimTrace,
+    _can_restart,
     _Inversion,
     _inversion_arrivals,
     _inversion_table,
     _px_steps,
-    _restart_threshold,
     arrival_errors,
     draw_channel_index,
     drift_diagnostic,
@@ -358,51 +358,50 @@ def _restarts(n, entry, u):
     n=st.integers(1, 120),
     p=st.one_of(
         st.floats(0.0, 1.0),
-        st.sampled_from([0.01, 0.002, 0.2, 0.97, 0.25, 0.05]),
+        st.sampled_from([0.01, 0.002, 0.2, 0.97, 0.25, 0.05, 2 / 3]),
     ),
     data=st.data(),
 )
-def test_every_uniform_from_the_restart_threshold_on_restarts(n, p, data):
-    """``_restart_threshold`` is the least uniform k * 2**-53 that restarts
-    the draw: it and any uniform above it restart, the one just below does
-    not, and a threshold of 1.0 means not even 1 - 2**-53 restarts."""
+def test_a_draw_can_restart_exactly_when_the_largest_uniform_restarts_it(n, p, data):
+    """A uniform that restarts the draw in ``_inversion_arrivals`` has every
+    larger one restart it too, so some uniform restarts it exactly when
+    1 - 2**-53 does, which is what ``_can_restart`` says. The uniforms are
+    drawn at gaps from 1 of every scale, where restarts begin."""
     table = _inversion_table(n, [(0, p)])
     if not table:  # p = 0, or BTPE
         return
     entry = table[0]
-    threshold = _restart_threshold(_px_steps(n, *entry[2:]))
-    if threshold == 1.0:
-        assert not _restarts(n, entry, 1.0 - 2.0**-53)
-        return
-    k = int(threshold * 2.0**53)
-    assert k * 2.0**-53 == threshold
-    above = data.draw(st.integers(k, 2**53 - 1))
-    assert _restarts(n, entry, threshold)
-    assert _restarts(n, entry, above * 2.0**-53)
-    assert k == 0 or not _restarts(n, entry, (k - 1) * 2.0**-53)
+    gap = data.draw(st.integers(1, 53).flatmap(lambda e: st.integers(1, 2**e)))
+    k = 2**53 - gap
+    larger = data.draw(st.integers(k, 2**53 - 1))
+    if _restarts(n, entry, k * 2.0**-53):
+        assert _restarts(n, entry, larger * 2.0**-53)
+    assert _can_restart(_px_steps(n, *entry[2:])) == _restarts(n, entry, 1.0 - 2.0**-53)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_binomial_draw(), data=st.data())
 def test_block_counts_equal_the_scalar_sampler(case, data):
     """``_Inversion.counts`` on a matrix of uniforms gives, row by row, what
-    ``_inversion_arrivals`` gives on that row, with uniforms drawn at the
-    inversion edges, a step either side of them, and anywhere below the
-    least restarting uniform."""
+    ``_inversion_arrivals`` gives on that row, in every regime that cannot
+    restart, with uniforms drawn anywhere, at the inversion edges, a step
+    either side of them, and next to 1."""
     n, ps, _ = case
     table = _inversion_table(n, list(enumerate(ps)))
     if not table:
         return
     inversion = _Inversion(n, table)
-    below = int(inversion.floor * 2.0**53) - 1  # as k of k * 2**-53
+    if inversion.restarts:  # the engine draws it by rng.binomial
+        return
     edges = [
-        min(max(int(c * 2.0**53) + step, 0), below)
+        min(max(int(c * 2.0**53) + step, 0), 2**53 - 1)
         for p in ps
         for c in _cumulative_pmf(n, p)
         if c < 1.0
         for step in (-1, 0, 1)
     ]
-    k = st.one_of(st.integers(0, below), st.sampled_from(edges or [0]))
+    near_one = st.integers(1, 2**20).map(lambda d: 2**53 - d)
+    k = st.one_of(st.integers(0, 2**53 - 1), st.sampled_from(edges or [0]), near_one)
     row = st.lists(k, min_size=len(table), max_size=len(table))
     u = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=float) * 2.0**-53
     expected = [_inversion_arrivals(n, table, iter(row).__next__) for row in u.tolist()]
@@ -881,11 +880,10 @@ def _last_uniform_at(position):
 @given(position=st.integers(0, 3 * SMALL_BLOCK * (RESTART_LINKS + 1) - 1))
 @example(position=0)  # the restarting link's uniform in slot 1
 def test_a_restart_anywhere_in_the_stream_gives_the_reference_run(name, position):
-    """Binomial(100, 0.01) on one link restarts on 1 - 2**-53. With that
-    uniform forced at ``position`` of a three-block run (in some slot's
-    arrivals, channel draw or policy draws), the slot whose arrivals hold it
-    draws them one by one from the block, restarts included, and every
-    other slot from the block's matrix; the run equals the reference."""
+    """Binomial(100, 0.01) on one link restarts on 1 - 2**-53, so the run
+    draws its arrivals by ``rng.binomial`` slot by slot. With that uniform
+    forced at ``position`` of a three-block run (in some slot's arrivals,
+    channel draw or policy draws), the run equals the reference."""
     cfg, cm = _wide_binomial(*reference_scenario(), 100, 4, {(0, 0): 1.0})
     assert len(cfg.adjacency) == RESTART_LINKS
     kwargs = {"horizon": 3 * SMALL_BLOCK, "arrival_law": "binomial"}
@@ -896,58 +894,17 @@ def test_a_restart_anywhere_in_the_stream_gives_the_reference_run(name, position
         )
 
 
-def test_every_window_that_holds_a_flag_takes_the_scalar_path(reference, monkeypatch):
-    """With the flag floor lowered to 0.9, about a tenth of the uniforms
-    are flagged. Every slot whose arrival window holds one, at any link,
-    draws its arrivals from the block one by one, in every block, and the
-    run still equals the reference: a flag that restarts nothing changes
-    no draw."""
-    cfg = dataclasses.replace(reference[0], max_arrivals=2)
-    monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
-    monkeypatch.setattr(sim, "_restart_threshold", lambda steps: 0.9)
-    calls = []
-    sampler = sim._inversion_arrivals
-
-    def counted(n, table, random):
-        source = random.__self__
-        if isinstance(source, sim._Uniforms):
-            calls.append((source, source.at))
-        return sampler(n, table, random)
-
-    monkeypatch.setattr(sim, "_inversion_arrivals", counted)
-    horizon = 3 * SMALL_BLOCK
-    kwargs = {"horizon": horizon, "arrival_law": "binomial"}
-    _assert_run_equals_reference(cfg, reference[1], "always_on", {}, kwargs)
-    # always_on takes each slot's 10 arrival uniforms and one channel uniform
-    stream = np.random.default_rng(3).random(horizon * 11).reshape(horizon, 11)
-    flagged = np.flatnonzero((stream[:, :10] >= 0.9).any(axis=1))
-    assert flagged.size > horizon // 2
-    assert (stream[flagged, 9] >= 0.9).any()  # at a window's last link too
-    blocks = list(dict.fromkeys(source for source, _ in calls))
-    scalar = {blocks.index(source) * SMALL_BLOCK + at // 11 for source, at in calls}
-    assert set(flagged.tolist()) <= scalar
-
-
-def test_a_restart_past_the_blocks_budget_draws_one_uniform_more(monkeypatch):
-    """With no spare policy draws, a restart in the last slot's arrivals
-    needs a uniform past the block's budget; the block draws it, and the
-    run equals the reference."""
-    cfg, cm = _wide_binomial(*reference_scenario(), 100, 4, {(0, 0): 1.0})
-    monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
-    monkeypatch.setattr(AlwaysOnMaxWeight, "max_step_draws", 0)  # it draws none
-    sizes = []
-    uniforms = sim._Uniforms
-
-    def counted(values):
-        sizes.append(len(values))
-        return uniforms(values)
-
-    monkeypatch.setattr(sim, "_Uniforms", counted)
-    last_slot = (SMALL_BLOCK - 1) * (RESTART_LINKS + 1)  # its link (0, 0)
-    kwargs = {"horizon": 2 * SMALL_BLOCK, "arrival_law": "binomial"}
-    _assert_run_equals_reference(cfg, cm, "always_on", {}, kwargs, _last_uniform_at(last_slot))
-    budget = SMALL_BLOCK * (RESTART_LINKS + 1)
-    assert sizes == [budget + 1, budget]
+def _arrivals_case(cfg, cm, law):
+    """(cfg, cm, arrival law) for ``law``: "bernoulli", "binomial" at
+    max_arrivals 2, "btpe" (rate 40 of 80) or "restart" (rate 1 of 100,
+    where 1 - 2**-53 restarts)."""
+    if law == "binomial":
+        return dataclasses.replace(cfg, max_arrivals=2), cm, law
+    if law == "btpe":
+        return (*_wide_binomial(cfg, cm, 80, 40, {(0, 0): 40.0}), "binomial")
+    if law == "restart":
+        return (*_wide_binomial(cfg, cm, 100, 4, {(0, 0): 1.0}), "binomial")
+    return cfg, cm, law
 
 
 @pytest.mark.parametrize(
@@ -958,6 +915,7 @@ def test_a_restart_past_the_blocks_budget_draws_one_uniform_more(monkeypatch):
         ("static_split_static", "bernoulli", 3),
         ("static_split_mw", "binomial", 3),
         ("static_split_mw", "btpe", 0),
+        ("static_split_mw", "restart", 0),
         ("algorithm1", "bernoulli", 3),
         ("algorithm1", "binomial", 3),
         ("algorithm1_tracking", "bernoulli", 3),
@@ -965,14 +923,9 @@ def test_a_restart_past_the_blocks_budget_draws_one_uniform_more(monkeypatch):
 )
 def test_which_runs_predraw_their_blocks(reference, monkeypatch, name, law, blocks):
     """Every policy under Bernoulli or inversion-law binomial arrivals takes
-    each block's uniforms at once; a regime that needs BTPE draws slot by
-    slot."""
-    cfg, cm = reference
-    if law == "binomial":
-        cfg = dataclasses.replace(cfg, max_arrivals=2)
-    if law == "btpe":  # rate 40 of 80
-        cfg, cm = _wide_binomial(cfg, cm, 80, 40, {(0, 0): 40.0})
-        law = "binomial"
+    each block's uniforms at once; a regime that needs BTPE, or in which
+    some link can restart, draws slot by slot."""
+    cfg, cm, law = _arrivals_case(*reference, law)
     calls = []
     uniforms = sim._Uniforms
 
@@ -988,19 +941,17 @@ def test_which_runs_predraw_their_blocks(reference, monkeypatch, name, law, bloc
     assert len(calls) == blocks
 
 
-@pytest.mark.parametrize("law", ["bernoulli", "binomial"])
+@pytest.mark.parametrize("law", ["bernoulli", "binomial", "btpe"])
 @pytest.mark.parametrize("every_slot", [False, True])
 def test_learning_policy_builds_its_arrivals_only_when_read(
     reference, monkeypatch, law, every_slot
 ):
     """The engine hands a learning policy its slot's arrivals as a function;
     they are built on explore slots only, or on every slot when the policy
-    updates lambda_hat every slot."""
-    cfg, cm = reference
-    if law == "binomial":
-        cfg = dataclasses.replace(cfg, max_arrivals=2)
+    updates lambda_hat every slot, whichever reader builds them."""
+    cfg, cm, law = _arrivals_case(*reference, law)
     built = []
-    for name in ("_bernoulli_reader", "_inversion_reader"):
+    for name in ("_bernoulli_reader", "_inversion_reader", "_count_reader"):
 
         def counting(*args, reader=getattr(sim, name)):
             arrivals = reader(*args)
