@@ -19,8 +19,8 @@ None for a policy without estimates, which never reads it. The engine's
 function compares the slot's uniforms with the rates under Bernoulli
 arrivals; under binomial ones it runs the inversion sampler again on the
 uniforms the slot's arrivals took, or, in a regime drawn slot by slot
-(one that needs BTPE or can restart), reads the counts ``rng.binomial``
-gave. A service is a list of (link, rate) pairs into ``q``, at most one
+(one that needs BTPE or in which a draw can restart), reads the counts
+drawn. A service is a list of (link, rate) pairs into ``q``, at most one
 per serving station.
 No ``step`` draws more than ``Policy.max_step_draws`` uniforms, so the
 engine can draw a block of slots ahead.

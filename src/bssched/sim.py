@@ -42,11 +42,14 @@ draw that passes the sampler's bound. A block's counts come from a
 (slots x K) matrix of uniforms by the sampler's own px recursion,
 subtractions and tests, bit for bit, which holds while no uniform
 restarts. ``fl(v - px)`` never decreases as the uniform v grows, so some
-uniform restarts a link exactly when 1 - 2**-53 does (``_can_restart``);
-at max_arrivals 2 none does. A regime in which some link can restart, or
-in which some link expects more than 30 arrivals (or misses more than 30)
-and so needs numpy's BTPE sampler, calls ``rng.binomial`` on the
-adjacency links, slot by slot, and has no block of uniforms.
+uniform restarts a link exactly when 1 - 2**-53 does (``_can_restart``).
+That depends on the rate: no bundled scenario's rate can restart, but at
+max_arrivals 2 about one p in thirteen between 0.13 and 0.86 can. A
+regime in which some link can restart draws slot by slot, the slot's
+uniforms in one call and one more per restart; a regime in which some
+link expects more than 30 arrivals (or misses more than 30) needs numpy's
+BTPE sampler and calls ``rng.binomial`` on the adjacency links, slot by
+slot. Neither has a block of uniforms.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -219,7 +222,7 @@ class _Inversion:
     from a matrix of uniforms: the table's ``links``, ``steps`` (each
     link's ``_px_steps`` as a column, +inf past its bound), the ``flip``
     columns, and whether some link ``restarts`` on some uniform, in which
-    case the regime is drawn by ``rng.binomial`` instead."""
+    case the regime is drawn slot by slot instead."""
 
     __slots__ = ("n", "table", "links", "steps", "flip", "restarts")
 
@@ -386,7 +389,7 @@ def run(
     # numpy draws in row-major order, so the links are taken in that order
     links = sorted(m * cfg.n_users + u for m, u in cfg.adjacency)
     link_array = np.array(links, dtype=np.intp)
-    regimes = {}  # start slot: (rates, Bernoulli link rates or _Inversion, per-slot p)
+    regimes = {}  # start slot: (rates, Bernoulli link rates or _Inversion, BTPE p)
     for start, scale in _scales(regime).items():
         rates = np.asarray(cfg.arrival_rates, dtype=float) * scale
         if bernoulli:
@@ -395,11 +398,10 @@ def run(
         flat = rates.ravel().tolist()
         probs = [(k, flat[k] / n_max) for k in links]
         table = _inversion_table(n_max, probs)
-        inversion = None if table is None else _Inversion(n_max, table)
-        if inversion is None or inversion.restarts:  # rng.binomial, slot by slot
+        if table is None:
             regimes[start] = (rates, None, np.array([p for _, p in probs]))
         else:
-            regimes[start] = (rates, inversion, None)
+            regimes[start] = (rates, _Inversion(n_max, table), None)
     cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
     has_estimates = policy.mu_hat is not None
@@ -426,14 +428,15 @@ def run(
     while t0 <= horizon:
         # pass 1: the block's draws, none of which reads the queues
         if t0 in regimes:
-            rates_now, table, per_slot = regimes[t0]
+            rates_now, table, btpe = regimes[t0]
+            predraw = btpe is None and (bernoulli or not table.restarts)
             flat_rates = rates_now.ravel()
             seen_version = None  # lambda_err is against the new rates
             end = min([s for s in regimes if s > t0], default=horizon + 1)
         t1 = min(t0 + BLOCK_SLOTS, end, horizon + 1)
         slots, arrived, bounds = [], [], [0]
         source = rng
-        if per_slot is None:  # every uniform the block's slots could take, at once
+        if predraw:  # every uniform the block's slots could take, at once
             saved = rng.bit_generator.state
             width = size if bernoulli else len(table.table)
             u = rng.random((t1 - t0) * (width + 1 + policy.max_step_draws))
@@ -441,20 +444,25 @@ def run(
             starts = []
         a = None
         if has_estimates:  # only the learning policies read them, and mostly not
-            if bernoulli:
-                a = _bernoulli_reader(u, starts, flat_rates)
-            elif per_slot is None:
-                a = _inversion_reader(source.values, starts, table, size)
-            else:
+            if not predraw:
                 a = _count_reader(arrived, bounds, size)
+            elif bernoulli:
+                a = _bernoulli_reader(u, starts, flat_rates)
+            else:
+                a = _inversion_reader(source.values, starts, table, size)
         for t in range(t0, t1):
-            if per_slot is None:  # the arrivals are computed in numpy after the loop
+            if predraw:  # the arrivals are computed in numpy after the loop
                 at = source.at
                 starts.append(at)
                 source.at = at + width
             else:
-                counts = rng.binomial(n_max, per_slot).tolist()
-                arrived += [(k, x) for k, x in zip(links, counts) if x]
+                if btpe is None:  # the slot's uniforms in one call, then one per restart
+                    draws = chain(rng.random(len(table.table)).tolist(), iter(rng.random, None))
+                    counts = _inversion_arrivals(n_max, table.table, draws.__next__)
+                    arrived += [(entry[0], x) for entry, x in zip(table.table, counts) if x]
+                else:
+                    counts = rng.binomial(n_max, btpe).tolist()
+                    arrived += [(k, x) for k, x in zip(links, counts) if x]
                 bounds.append(len(arrived))
             h = draw_channel_index(cum_pmf, source)
             slots.append((h, *step(t, h, a, source)))
@@ -465,7 +473,7 @@ def run(
                     lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
                 trace.mu_err[t - 1] = mu_e
                 trace.lambda_err[t - 1] = lambda_e
-        if per_slot is None:  # put the generator back, moved by the uniforms used
+        if predraw:  # put the generator back, moved by the uniforms used
             rng.bit_generator.state = saved
             rng.random(source.at)
             if bernoulli:

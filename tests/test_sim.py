@@ -763,8 +763,9 @@ def _engine_case(case):
     if case == "binomial":
         cfg = dataclasses.replace(cfg, max_arrivals=2)
         return cfg, cm, {"eps_s": 0.1}, {"horizon": 1500, "arrival_law": "binomial"}
-    if case == "binomial_rates":  # p = 0.2 / 3, 2 / 3 (drawn as 3 - X(1/3)) and 1
-        cfg, cm = _wide_binomial(cfg, cm, 3, 4, {(0, 0): 3.0, (1, 2): 2.0})
+    if case == "binomial_rates":  # p = 0.2 / 3, 2 / 3 (drawn as 3 - X(1/3)), 1 and 0
+        rates = {(0, 0): 3.0, (0, 1): 0.0, (1, 2): 2.0}
+        cfg, cm = _wide_binomial(cfg, cm, 3, 4, rates)
         return cfg, cm, {"eps_s": 0.1}, {"horizon": 600, "arrival_law": "binomial"}
     if case == "binomial_regime":
         cfg = dataclasses.replace(cfg, max_arrivals=2)
@@ -791,8 +792,8 @@ def _engine_case(case):
         regime = RegimeSchedule(changes=((10, 0.5), (2 * SMALL_BLOCK + 1, 1.5)))
         params = {"eps_s": 0.3, "update_arrivals_every_slot": case != "block_regime"}
         kwargs = {"horizon": 60, "regime": regime}
-        if case == "binomial_every_slot":
-            cfg = dataclasses.replace(cfg, max_arrivals=2)
+        if case == "binomial_every_slot":  # a link with p = 0 takes no uniform
+            cfg, cm = _wide_binomial(cfg, cm, 2, 1, {(0, 1): 0.0})
             kwargs["arrival_law"] = "binomial"
         return cfg, cm, params, kwargs
     if case.startswith("block_horizon"):
