@@ -44,7 +44,7 @@ CSV_COLUMNS = (
     "mu_hat_err",
     "lambda_hat_err",
 )
-CSV_ROW = "%d,%d,%.10g,%.10g,%.10g,%d,%d,%.10g,%.10g\r\n"  # one slot, in CSV_COLUMNS order
+CSV_FORMATS = ("%d", "%d", "%.10g", "%.10g", "%.10g", "%d", "%d", "%.10g", "%.10g")  # per column
 CSV_BLOCK = 128  # rows formatted at a time
 
 
@@ -293,7 +293,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError([f"cannot read scenario {path}: {exc}"]) from exc
     return parse_scenario(data, name=path.stem)
 
@@ -310,20 +310,32 @@ def reference_scenario() -> tuple[NetworkConfig, ChannelModel]:
 
 
 def _write_csv(path: Path, trace, window: int) -> None:
-    """One ``CSV_ROW`` per slot under a ``CSV_COLUMNS`` header, CRLF line ends:
-    ints as ``%d`` (the explore flag as 0/1), floats as ``%.10g`` (NaN as
-    ``nan``). Rows go out ``CSV_BLOCK`` at a time, each column of a block
-    converted once with ``tolist()``, so memory stays flat at any horizon."""
+    """One row per slot under a ``CSV_COLUMNS`` header, CRLF line ends, each
+    column in its ``CSV_FORMATS`` entry: ints as ``%d`` (the explore flag as
+    0/1), floats as ``%.10g`` (NaN as ``nan``). A value column that is
+    bitwise constant over the run is formatted once, into the row template,
+    so ``-0.0`` and ``0.0`` stay apart. Rows go out ``CSV_BLOCK`` at a time,
+    each varying column of a block converted once with ``tolist()``, so
+    memory stays flat at any horizon."""
     columns = (
         trace.total_queue, trace.cost, trace.running_avg_cost(), trace.windowed_cost(window),
         trace.j_bits, trace.explore, trace.mu_err, trace.lambda_err,
     )
+    fields, varying = [CSV_FORMATS[0]], []
+    for fmt, column in zip(CSV_FORMATS[1:], columns):
+        bits = column.view(f"u{column.itemsize}")
+        if (bits == bits[0]).all():
+            fields.append(fmt % column[0].item())  # no format writes a %
+        else:
+            fields.append(fmt)
+            varying.append(column)
+    row = ",".join(fields) + "\r\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for lo in range(0, trace.horizon, CSV_BLOCK):
-            block = [column[lo : lo + CSV_BLOCK].tolist() for column in columns]
-            slots = range(lo + 1, lo + CSV_BLOCK + 1)  # zip stops at the last slot
-            fh.write("".join(CSV_ROW % row for row in zip(slots, *block)))
+            block = [column[lo : lo + CSV_BLOCK].tolist() for column in varying]
+            slots = range(lo + 1, min(lo + CSV_BLOCK, trace.horizon) + 1)
+            fh.write("".join(row % values for values in zip(slots, *block)))
 
 
 def _run_one_seed(scenario: Scenario, seed: int, horizon: int, out_dir: str):
@@ -538,9 +550,9 @@ def cmd_run(args) -> int:
 
 
 def _parse_seed_list(text: str) -> list[int]:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
+    parts = [part.strip() for part in text.split(",")]
     seeds = [int(part) for part in parts if part.isdecimal()]
-    if not parts or len(seeds) < len(parts) or len(set(seeds)) < len(seeds):
+    if len(seeds) < len(parts) or len(set(seeds)) < len(seeds):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated distinct nonnegative integers, got {text!r}"
         )

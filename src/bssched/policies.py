@@ -23,7 +23,10 @@ uniforms the slot's arrivals took, or, in a regime drawn slot by slot
 drawn. A service is a list of (link, rate) pairs into ``q``, at most one
 per serving station.
 No ``step`` draws more than ``Policy.max_step_draws`` uniforms, so the
-engine can draw a block of slots ahead.
+engine can draw a block of slots ahead. From such a block ``always_on``
+and ``static_split_mw`` make a whole block's draws at once, from event to
+event, in ``draw_block``, with the uniforms and the end state ``step``
+would take and leave; the other policies return None there.
 
 ``max_weight(q, j, h)`` is the Max-Weight rule over R(j, h). Under
 one_user_per_station it splits by station (Tassiulas & Ephremides 1992):
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 
 import numpy as np
 
@@ -226,6 +230,20 @@ class Policy:
         """(activation id, explore flag) for slot t."""
         raise NotImplementedError
 
+    def draw_block(self, t0: int, slots: int, source, width: int):
+        """Slots t0 to t0 + slots - 1's draws from a block of uniforms drawn
+        ahead, made from event to event instead of by ``step``, or None for
+        a policy whose draws must be made by ``step``.
+
+        Each slot takes ``width`` arrival uniforms and its channel uniform
+        from ``source``, then the policy's, none of which reads the slot's
+        channel state. Returns each slot's first uniform index as an int
+        array and the slots' activation ids (no slot explores or draws its
+        service), with ``source.at`` past the block's last uniform and the
+        policy in the state ``step`` would leave.
+        """
+        return None
+
     def max_weight(self, q: list[int], j: int, h_index: int) -> list[tuple[int, int]]:
         """The first member of R(j, h_index) maximizing the weight q * r,
         as the (link, rate) pairs it serves.
@@ -270,6 +288,11 @@ class AlwaysOnMaxWeight(Policy):
     def _activation(self, t, h_index, arrivals, rng):
         return self._all_on, False
 
+    def draw_block(self, t0, slots, source, width):
+        self._j = self._all_on
+        source.at = slots * (width + 1)
+        return np.arange(0, source.at, width + 1), [self._all_on] * slots
+
 
 class StaticSplitMaxWeight(Policy):
     """Resample the activation from the planned sigma, serve by Max-Weight.
@@ -301,6 +324,49 @@ class StaticSplitMaxWeight(Policy):
             return draw_channel_index(self._sigma_cdf, rng), False
         return self._j, False
 
+    def draw_block(self, t0, slots, source, width):
+        """A slot takes a resample coin after its channel uniform, except
+        inside ``min_switch_gap``, and one activation uniform after a coin
+        below eps_s. Between two such events the coins sit a fixed stride
+        apart, so the next one below eps_s is one search among the block's
+        uniforms below eps_s."""
+        stride = width + 2  # a slot's uniforms with a coin
+        # Each uniform below eps_s as a key: its column, then its row, in rows
+        # of ``stride`` uniforms. The coins from slot t on sit in one column,
+        # so the next hit among them is the next key; a key in a later column
+        # lies past the block's last coin, which is in ``source``.
+        span = -(-source.array.size // stride)
+        hits = np.flatnonzero(source.array < self.eps_s)
+        keys = np.sort(hits % stride * span + hits // stride).tolist() + [stride * span]
+        sizes = np.full(slots, stride)
+        ids, events = [], []
+        j, last, gap = self._j, self._last_switch, self.min_switch_gap
+        t, end, at = t0, t0 + slots, 0  # slot t's first uniform is u[at]
+        while t < end:
+            held = min(end, last + gap) - t
+            if held > 0:  # no coin is tossed inside the gap
+                sizes[t - t0 : t - t0 + held] = stride - 1
+                ids += [j] * held
+                t, at = t + held, at + held * (stride - 1)
+                continue
+            row, col = divmod(at + stride - 1, stride)  # slot t's coin
+            key = col * span + row
+            held = min(keys[bisect_left(keys, key)] - key, end - t)  # slots before the event
+            ids += [j] * held
+            t, at = t + held, at + held * stride
+            if t < end:  # a resample event at slot t
+                events.append(t - t0)
+                source.at = at + stride
+                j = draw_channel_index(self._sigma_cdf, source)
+                ids.append(j)
+                last, t, at = t, t + 1, at + stride + 1
+        self._j, self._last_switch = j, last
+        self.resample_count += len(events)
+        sizes[events] += 1  # the activation uniform
+        ends = np.cumsum(sizes)
+        source.at = int(ends[-1])
+        return ends - sizes, ids
+
 
 class StaticSplitStatic(StaticSplitMaxWeight):
     """Resample the activation and also draw rates from the planned alpha.
@@ -310,6 +376,7 @@ class StaticSplitStatic(StaticSplitMaxWeight):
     """
 
     name = "static_split_static"
+    draw_block = Policy.draw_block  # the rate draw reads the slot's channel state
 
     def __init__(self, cfg, cm, eps_s: float, eps_g: float, min_switch_gap: int = 0):
         super().__init__(cfg, cm, eps_s, eps_g, min_switch_gap)

@@ -12,11 +12,17 @@ No draw reads the queues: only ``Policy.max_weight`` does. So ``run``
 takes the slots in blocks of ``BLOCK_SLOTS``, split at regime changes, in
 two passes. Pass 1 makes each slot's draws: the arrivals, the channel
 state and ``Policy.step`` (the activation, the explore flag and any drawn
-service). Pass 2 is the one serve-and-queue loop for every policy: it
-serves by ``Policy.max_weight`` unless the service was drawn, on a flat
-list of Python ints, one per (station, user) pair in row-major order, so
-the queue update, the total queue and its sum of squares take no numpy
-call.
+service). In a block drawn ahead (below), a policy whose draws read
+neither the arrivals nor the channel state (``always_on``,
+``static_split_mw``) makes them from event to event in
+``Policy.draw_block`` instead, without ``step``; each slot's channel
+uniform still directly follows its arrivals, so the block's channel
+states come from one ``np.searchsorted``, clamped as
+``draw_channel_index`` clamps. Pass 2 is the one serve-and-queue loop
+for every policy: it serves by ``Policy.max_weight`` unless the service
+was drawn, on a flat list of Python ints, one per (station, user) pair
+in row-major order, so the queue update, the total queue and its sum of
+squares take no numpy call.
 
 All randomness comes from a single generator with a fixed draw order per
 slot: the arrivals first, then one uniform for the channel state, then
@@ -287,11 +293,13 @@ def _queue_matrix(q0) -> np.ndarray | None:
 
 class _Uniforms:
     """A block of uniforms drawn ahead, handed out in stream order by
-    ``random()`` as the generator would; ``at`` is the next one's index."""
+    ``random()`` as the generator would; ``at`` is the next one's index.
+    ``array`` holds the same uniforms for a policy's ``draw_block``."""
 
-    __slots__ = ("values", "at")
+    __slots__ = ("array", "values", "at")
 
     def __init__(self, values: np.ndarray):
+        self.array = values
         self.values = memoryview(values)  # indexing gives Python floats
         self.at = 0
 
@@ -402,7 +410,8 @@ def run(
             regimes[start] = (rates, None, np.array([p for _, p in probs]))
         else:
             regimes[start] = (rates, _Inversion(n_max, table), None)
-    cum_pmf = np.cumsum(np.asarray(cm.pmf, dtype=float)).tolist()
+    cum_array = np.cumsum(np.asarray(cm.pmf, dtype=float))
+    cum_pmf = cum_array.tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
     has_estimates = policy.mu_hat is not None
 
@@ -434,45 +443,56 @@ def run(
             seen_version = None  # lambda_err is against the new rates
             end = min([s for s in regimes if s > t0], default=horizon + 1)
         t1 = min(t0 + BLOCK_SLOTS, end, horizon + 1)
-        slots, arrived, bounds = [], [], [0]
-        source = rng
+        block = slice(t0 - 1, t1 - 1)
+        arrived, bounds = [], [0]
+        source, drawn = rng, None
         if predraw:  # every uniform the block's slots could take, at once
             saved = rng.bit_generator.state
             width = size if bernoulli else len(table.table)
             u = rng.random((t1 - t0) * (width + 1 + policy.max_step_draws))
             source = _Uniforms(u)
             starts = []
-        a = None
-        if has_estimates:  # only the learning policies read them, and mostly not
-            if not predraw:
-                a = _count_reader(arrived, bounds, size)
-            elif bernoulli:
-                a = _bernoulli_reader(u, starts, flat_rates)
-            else:
-                a = _inversion_reader(source.values, starts, table, size)
-        for t in range(t0, t1):
-            if predraw:  # the arrivals are computed in numpy after the loop
-                at = source.at
-                starts.append(at)
-                source.at = at + width
-            else:
-                if btpe is None:  # the slot's uniforms in one call, then one per restart
-                    draws = chain(rng.random(len(table.table)).tolist(), iter(rng.random, None))
-                    counts = _inversion_arrivals(n_max, table.table, draws.__next__)
-                    arrived += [(entry[0], x) for entry, x in zip(table.table, counts) if x]
+            drawn = policy.draw_block(t0, t1 - t0, source, width)
+        if drawn is not None:  # by events: a slot's channel uniform follows its arrivals
+            starts, ids = drawn
+            states = np.searchsorted(cum_array, u[starts + width], side="right")
+            states = np.minimum(states, len(cum_pmf) - 1).tolist()
+            slots = zip(states, ids, repeat(False), repeat(None))
+        else:
+            slots = []
+            a = None
+            if has_estimates:  # only the learning policies read them, and mostly not
+                if not predraw:
+                    a = _count_reader(arrived, bounds, size)
+                elif bernoulli:
+                    a = _bernoulli_reader(u, starts, flat_rates)
                 else:
-                    counts = rng.binomial(n_max, btpe).tolist()
-                    arrived += [(k, x) for k, x in zip(links, counts) if x]
-                bounds.append(len(arrived))
-            h = draw_channel_index(cum_pmf, source)
-            slots.append((h, *step(t, h, a, source)))
-            if has_estimates:  # they change only with the estimates or rates
-                if policy.estimate_version != seen_version:
-                    seen_version = policy.estimate_version
-                    mu_e = float(np.abs(policy.mu_hat - true_mu).sum())
-                    lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
-                trace.mu_err[t - 1] = mu_e
-                trace.lambda_err[t - 1] = lambda_e
+                    a = _inversion_reader(source.values, starts, table, size)
+            for t in range(t0, t1):
+                if predraw:  # the arrivals are computed in numpy after the loop
+                    at = source.at
+                    starts.append(at)
+                    source.at = at + width
+                else:
+                    if btpe is None:  # the slot's uniforms in one call, then one per restart
+                        draws = chain(rng.random(len(table.table)).tolist(), iter(rng.random, None))
+                        counts = _inversion_arrivals(n_max, table.table, draws.__next__)
+                        arrived += [(entry[0], x) for entry, x in zip(table.table, counts) if x]
+                    else:
+                        counts = rng.binomial(n_max, btpe).tolist()
+                        arrived += [(k, x) for k, x in zip(links, counts) if x]
+                    bounds.append(len(arrived))
+                h = draw_channel_index(cum_pmf, source)
+                slots.append((h, *step(t, h, a, source)))
+                if has_estimates:  # they change only with the estimates or rates
+                    if policy.estimate_version != seen_version:
+                        seen_version = policy.estimate_version
+                        mu_e = float(np.abs(policy.mu_hat - true_mu).sum())
+                        lambda_e = float(np.abs(policy.lambda_hat - rates_now).sum())
+                    trace.mu_err[t - 1] = mu_e
+                    trace.lambda_err[t - 1] = lambda_e
+            ids = [record[1] for record in slots]
+            trace.explore[block] = [record[2] for record in slots]
         if predraw:  # put the generator back, moved by the uniforms used
             rng.bit_generator.state = saved
             rng.random(source.at)
@@ -506,12 +526,10 @@ def run(
                 q[link] = x + n_new
                 v += n_new * (x + x + n_new)
                 total += n_new
-        block = slice(t0 - 1, t1 - 1)
         trace.total_queue[block] = totals
         trace.v_quad[block] = squares
         trace.served[block] = departures
-        trace.j_bits[block] = [record[1] for record in slots]
-        trace.explore[block] = [record[2] for record in slots]
+        trace.j_bits[block] = ids
         t0 = t1
 
     previous = np.concatenate(([j0_id], trace.j_bits[:-1]))

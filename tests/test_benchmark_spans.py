@@ -4,7 +4,10 @@
 whose function was renamed or moved reads 0 instead of failing. One traced
 1-slot ``static_split_mw`` run must record a span for each name below,
 count a positive number of region members, and show the simplex called
-from ``lp.solve_lp``. A policy's slot is one ``policies.step`` span.
+from ``lp.solve_lp``. That policy's channel states are drawn by events,
+without ``draw_channel_index``, so the run sets ``eps_s`` to 1: slot 1
+then resamples, and its activation is drawn by ``draw_channel_index``. A
+``static_split_static`` slot is one ``policies.step`` span.
 """
 
 import json
@@ -29,11 +32,11 @@ TRACED_NAMES = (
 )
 
 
-def traced_run(tmp_path, policy: str, horizon: int) -> tuple[dict, dict]:
-    """Span file of a traced ``bssched run`` of ``policy`` on ``reference``,
-    and the number of spans per name."""
+def traced_run(tmp_path, policy: dict, horizon: int) -> tuple[dict, dict]:
+    """Span file of a traced ``bssched run`` of the ``policy`` block on
+    ``reference``, and the number of spans per name."""
     scenario = json.loads(bundled_scenario_path("reference").read_text())
-    scenario["policy"] = {"name": policy}
+    scenario["policy"] = policy
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(scenario))
     spans = tmp_path / "spans.json"
@@ -59,7 +62,7 @@ def traced_run(tmp_path, policy: str, horizon: int) -> tuple[dict, dict]:
 
 
 def test_traced_run_records_every_metric_span(tmp_path):
-    doc, counts = traced_run(tmp_path, "static_split_mw", 1)
+    doc, counts = traced_run(tmp_path, {"name": "static_split_mw", "eps_s": 1.0}, 1)
     for name in TRACED_NAMES:
         assert counts.get(name, 0) >= 1, f"no span recorded for {name}"
     assert doc["counters"].get("members", 0) > 0
@@ -73,5 +76,5 @@ def test_traced_run_records_every_metric_span(tmp_path):
 
 
 def test_static_split_static_records_one_step_span_per_slot(tmp_path):
-    _, counts = traced_run(tmp_path, "static_split_static", 3)
+    _, counts = traced_run(tmp_path, {"name": "static_split_static"}, 3)
     assert counts["policies.step"] == 3

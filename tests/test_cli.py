@@ -321,6 +321,18 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "lp", "run"])
+def test_a_scenario_that_is_not_utf8_is_an_invalid_config(tmp_path, capsys, command):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INVALID_CONFIG
+    captured = capsys.readouterr()
+    assert f"cannot read scenario {path}: 'utf-8' codec can't decode" in captured.out + captured.err
+
+
 def test_parse_scenario_requires_blocks():
     with pytest.raises(ScenarioError, match="network"):
         parse_scenario({"channel": {}})
@@ -358,7 +370,7 @@ def test_parse_seed_list():
     assert _parse_seed_list("0,5") == [0, 5]
 
 
-@pytest.mark.parametrize("text", ["", ",", "1,a", "-1", "2,-3"])
+@pytest.mark.parametrize("text", ["", ",", "1,,2", ",3", "4,", "1,a", "-1", "2,-3"])
 def test_parse_seed_list_rejects_bad_input(text):
     with pytest.raises(argparse.ArgumentTypeError, match="nonnegative integers"):
         _parse_seed_list(text)
@@ -884,20 +896,55 @@ def test_percent_d_writes_a_bool_as_0_or_1():
     assert ("%d" % True, "%d" % False) == ("1", "0")
 
 
-@pytest.mark.parametrize("horizon", [1, 127, 128, 129, 300])
-def test_write_csv_matches_the_csv_module_writer(tmp_path, horizon):
+CSV_HORIZONS = [1, 127, 128, 129, 300]  # one row; around and past a CSV_BLOCK
+
+
+def _trace(name, horizon):
     cfg, cm = reference_scenario()
     rng = np.random.default_rng(11)
-    trace = run(cfg, cm, make_policy("algorithm1", cfg, cm, rng), horizon, rng=rng)
-    # algorithm1 estimates from slot 1: blank the first half's errors so that
-    # the columns go from NaN to finite (across the first block at 300 slots)
-    trace.mu_err[: horizon // 2] = np.nan
-    trace.lambda_err[: horizon // 2] = np.nan
+    return run(cfg, cm, make_policy(name, cfg, cm, rng), horizon, rng=rng)
+
+
+def _assert_written_as_by_the_csv_module(tmp_path, trace) -> list[list[str]]:
+    """``_write_csv``'s bytes equal ``csv_module_write``'s; returns the rows."""
     cli_module._write_csv(tmp_path / "written.csv", trace, 50)
     csv_module_write(tmp_path / "reference.csv", trace, 50)
     written = (tmp_path / "written.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
-    assert written.count(b"\r\n") == horizon + 1
+    assert written.count(b"\r\n") == trace.horizon + 1
+    return list(csv.reader(written.decode().splitlines()))[1:]
+
+
+@pytest.mark.parametrize("horizon", CSV_HORIZONS)
+def test_write_csv_matches_the_csv_module_writer(tmp_path, horizon):
+    trace = _trace("algorithm1", horizon)
+    # algorithm1 estimates from slot 1: blank the first half's errors so that
+    # the columns go from NaN to finite (across the first block at 300 slots)
+    trace.mu_err[: horizon // 2] = np.nan
+    trace.lambda_err[: horizon // 2] = np.nan
+    _assert_written_as_by_the_csv_module(tmp_path, trace)
+
+
+@pytest.mark.parametrize("horizon", CSV_HORIZONS)
+@pytest.mark.parametrize("name", ["always_on", "static_split_mw"])
+def test_write_csv_matches_the_csv_module_writer_on_constant_columns(tmp_path, name, horizon):
+    """The columns these runs hold constant (always_on's cost, activation,
+    explore flag and NaN errors; a static split's flag and errors) are
+    written as the csv module writes them."""
+    _assert_written_as_by_the_csv_module(tmp_path, _trace(name, horizon))
+
+
+@pytest.mark.parametrize("horizon", CSV_HORIZONS)
+def test_write_csv_keeps_the_sign_of_a_zero(tmp_path, horizon):
+    """A column that is -0.0 throughout reads -0 on every row, and one that
+    mixes 0.0 with -0.0, equal as floats, is not written as constant."""
+    trace = _trace("always_on", horizon)
+    trace.mu_err[:] = -0.0
+    trace.lambda_err[:] = 0.0
+    trace.lambda_err[::2] = -0.0
+    rows = _assert_written_as_by_the_csv_module(tmp_path, trace)
+    assert [row[7] for row in rows] == ["-0"] * horizon
+    assert [row[8] for row in rows] == ["-0", "0"] * (horizon // 2) + ["-0"] * (horizon % 2)
 
 
 # ---------------------------------------------------------------------------

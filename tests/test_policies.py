@@ -677,10 +677,12 @@ def test_make_policy_builds_every_name(reference):
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_step_returns_the_traced_activation_id(reference, name):
+    """The ids that ``step``, or ``draw_block`` for the policies drawn by
+    events, returns are the trace's."""
     cfg, cm = reference
     rng = np.random.default_rng(4)
     policy = make_policy(name, cfg, cm, rng, params={"eps_s": 0.2})
-    step = policy.step
+    step, draw_block = policy.step, policy.draw_block
     ids = []
 
     def recording_step(*args):
@@ -688,7 +690,13 @@ def test_step_returns_the_traced_activation_id(reference, name):
         ids.append(j)
         return j, s, explore
 
-    policy.step = recording_step
+    def recording_draw_block(*args):
+        drawn = draw_block(*args)
+        if drawn is not None:
+            ids.extend(drawn[1])
+        return drawn
+
+    policy.step, policy.draw_block = recording_step, recording_draw_block
     trace = run(cfg, cm, policy, horizon=400, rng=rng)
     assert all(type(j) is int and 0 <= j < 2**cfg.n_stations for j in ids)
     assert ids == trace.j_bits.tolist()

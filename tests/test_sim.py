@@ -834,24 +834,37 @@ def test_run_equals_the_region_based_reference_engine(name, case, monkeypatch):
     cfg, cm, params, kwargs = _engine_case(case)
     if case.startswith("block_") or case == "binomial_every_slot":
         monkeypatch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
-    fast = _assert_run_equals_reference(cfg, cm, name, params, kwargs)
+    # slots drawn slot by slot: a regime that needs BTPE, or one that can restart
+    slot_by_slot = {"binomial_btpe": 200, "binomial_rates": 600}.get(case, 0)
+    fast = _assert_run_equals_reference(cfg, cm, name, params, kwargs, slot_by_slot)
     assert fast.served.any()
     assert name != "algorithm1" or fast.explore.any()
 
 
-def _assert_run_equals_reference(cfg, cm, name, params, kwargs, start=None):
+EVENT_POLICIES = ("always_on", "static_split_mw")  # drawn by draw_block in a pre-drawn regime
+
+
+def _assert_run_equals_reference(cfg, cm, name, params, kwargs, slot_by_slot, start=None):
     """Run ``name`` by ``run`` and by ``reference_run`` from seed 3, after
-    ``start(rng)`` once the policy is built; assert every trace field and
-    the generator's next uniform equal, and return ``run``'s trace."""
-    traces, next_uniforms = [], []
+    ``start(rng)`` once the policy is built; assert every trace field, the
+    generator's next uniform and the policy's activation, resample count
+    and last resample slot equal, and return ``run``'s trace. ``run`` must
+    call ``Policy.step`` once per slot, or, for ``EVENT_POLICIES``, only on
+    the ``slot_by_slot`` slots of regimes that are not pre-drawn."""
+    traces, next_uniforms, states, steps = [], [], [], []
     for engine in (run, reference_run):
         rng = np.random.default_rng(3)
         policy = make_policy(name, cfg, cm, rng, params)
         if start is not None:
             start(rng)
+        if engine is run:
+            policy.step = _counted(policy.step, steps)
         traces.append(engine(cfg, cm, policy, rng=rng, **kwargs))
         next_uniforms.append(rng.random())
+        states.append((policy._j, policy.resample_count, policy._last_switch))
     assert next_uniforms[0] == next_uniforms[1]
+    assert states[0] == states[1]
+    assert len(steps) == (slot_by_slot if name in EVENT_POLICIES else kwargs["horizon"])
     fast, slow = traces
     for field in dataclasses.fields(SimTrace):
         expected = getattr(slow, field.name)
@@ -860,6 +873,16 @@ def _assert_run_equals_reference(cfg, cm, name, params, kwargs, start=None):
             assert got.dtype == expected.dtype, field.name
         np.testing.assert_array_equal(got, expected, err_msg=field.name)
     return fast
+
+
+def _counted(function, calls):
+    """``function``, appending to ``calls`` on each call."""
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    return counted
 
 
 RESTART_LINKS = 10  # adjacency links of the reference network, each with p > 0
@@ -891,8 +914,29 @@ def test_a_restart_anywhere_in_the_stream_gives_the_reference_run(name, position
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
         _assert_run_equals_reference(
-            cfg, cm, name, {"eps_s": 0.1}, kwargs, _last_uniform_at(position)
+            cfg, cm, name, {"eps_s": 0.1}, kwargs, kwargs["horizon"], _last_uniform_at(position)
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    eps_s=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    gap=st.integers(0, 5),
+    horizon=st.integers(1, 3 * SMALL_BLOCK + 2),
+    law=st.sampled_from(ARRIVAL_LAWS),
+)
+@example(eps_s=1.0, gap=5, horizon=3 * SMALL_BLOCK + 2, law="bernoulli")
+def test_resample_events_across_blocks_give_the_reference_run(eps_s, gap, horizon, law):
+    """``static_split_mw`` drawn by events, with resample events and switch
+    gaps anywhere in or across blocks, equals the slot-by-slot reference."""
+    cfg, cm = reference_scenario()
+    if law == "binomial":
+        cfg = dataclasses.replace(cfg, max_arrivals=2)
+    kwargs = {"horizon": horizon, "arrival_law": law}
+    params = {"eps_s": eps_s, "min_switch_gap": gap}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "BLOCK_SLOTS", SMALL_BLOCK)
+        _assert_run_equals_reference(cfg, cm, "static_split_mw", params, kwargs, 0)
 
 
 def _arrivals_case(cfg, cm, law):
