@@ -336,8 +336,9 @@ class StaticSplitMaxWeight(Policy):
         # so the next hit among them is the next key; a key in a later column
         # lies past the block's last coin, which is in ``source``.
         span = -(-source.array.size // stride)
-        hits = np.flatnonzero(source.array < self.eps_s)
-        keys = np.sort(hits % stride * span + hits // stride).tolist() + [stride * span]
+        below = np.zeros(span * stride, dtype=bool)
+        below[: source.array.size] = source.array < self.eps_s
+        keys = np.flatnonzero(below.reshape(span, stride).T).tolist() + [stride * span]
         sizes = np.full(slots, stride)
         ids, events = [], []
         j, last, gap = self._j, self._last_switch, self.min_switch_gap
