@@ -489,12 +489,14 @@ def cmd_run(args) -> int:
     ).hexdigest()
 
     seed_args = [(scenario, s, horizon, str(out_dir)) for s in seeds]
-    if args.jobs > 1:
+    # a forked pool starts all its workers at the first submit
+    jobs = min(args.jobs, len(seeds))
+    if jobs > 1:
         # imported here: concurrent.futures and multiprocessing cost a serial
         # run tens of milliseconds of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one_seed, *zip(*seed_args)))
     else:
         results = [_run_one_seed(*a) for a in seed_args]

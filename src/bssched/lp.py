@@ -157,6 +157,7 @@ def solve_lp(
     lam: np.ndarray | None = None,
     basis: np.ndarray | None = None,
     elimination: Elimination | None = None,
+    dantzig: bool = False,
 ) -> LpSolution:
     """Solve the planning LP; optionally override cost, pmf or arrival target.
 
@@ -169,6 +170,8 @@ def solve_lp(
     estimates then pivots only where they differ. ``elimination``, that
     solution's ``elimination``, spares the warm start refactoring the
     basis when its columns of A and their costs have not moved since.
+    ``dantzig`` pivots by Dantzig's rule (see ``bssched.simplex``), for a
+    cost whose optimum is unique, so that the rule cannot change the vertex.
     """
     cost = problem.base_cost if cost is None else np.asarray(cost, dtype=float)
     a, b = problem.a, problem.b
@@ -182,7 +185,9 @@ def solve_lp(
         b[-n_links:] = _link_targets(problem.cfg, lam, problem.eps_g)
     c = np.concatenate([cost, np.zeros(n_links)])
 
-    result = solve_standard_form(c, a, b, basis=basis, elimination=elimination)
+    result = solve_standard_form(
+        c, a, b, basis=basis, elimination=elimination, dantzig=dantzig
+    )
     if result.status == "infeasible":
         return LpSolution(
             "infeasible",

@@ -414,7 +414,10 @@ class LearningMaxWeight(Policy):
     re-solve's certificate made, which the next one reuses while the
     basis's columns of the estimated A and their costs have not moved;
     ``reset`` drops both, so every run starts cold and its solves
-    depend on nothing but its own history.
+    depend on nothing but its own history. With eps_p > 0 the re-solves
+    pivot by Dantzig's rule, which takes fewer pivots than Bland's and,
+    the optimum being unique, ends at the same vertex; with eps_p = 0 the
+    optimum may not be unique, and they keep Bland's rule.
 
     The tracking variant keeps both the explore probability and the
     estimate learning rate from decaying below ``learning_floor`` so the
@@ -485,11 +488,13 @@ class LearningMaxWeight(Policy):
         The LP depends only on the estimates, and the solver is
         deterministic, so re-solving with unchanged estimates would return
         the identical sigma_hat; the solution is cached per estimate
-        version. A re-solve starts from the basis of the last optimal one;
-        the perturbed cost makes the optimum unique, so the warm start
-        returns the sigma_hat a cold solve would. Without estimates, or when
-        the estimated LP is infeasible, j_tilde stays as it is, and an
-        infeasible re-solve keeps the previous basis.
+        version. A re-solve starts from the basis of the last optimal one.
+        With eps_p > 0 the perturbed cost makes the optimum unique, so it
+        pivots by Dantzig's rule: a warm or cold start, by either rule,
+        returns the same vertex, whose sigma_hat may differ only in its last
+        bits. Without estimates, or when the estimated LP is infeasible,
+        j_tilde stays as it is, and an infeasible re-solve keeps the
+        previous basis.
         """
         if self.explore_count == 0 and self._lambda_count == 0:
             return
@@ -501,6 +506,7 @@ class LearningMaxWeight(Policy):
                 lam=self.lambda_hat,
                 basis=self._basis,
                 elimination=self._elimination,
+                dantzig=self.eps_p > 0,
             )
             self._sigma_hat = None
             if solution.status == "optimal":

@@ -1,11 +1,22 @@
 """Dense two-phase simplex for standard-form linear programs.
 
-Solves min c.x subject to A x = b, x >= 0. Both phases pivot with Bland's
-rule (smallest eligible index enters, ties in the ratio test break toward
-the smallest basic variable index), which cannot cycle, so the iteration
-cap only trips on genuinely pathological input and raises instead of
-returning a wrong answer. The solver is deterministic: the same problem
+Solves min c.x subject to A x = b, x >= 0. By default both phases pivot
+with Bland's rule (smallest eligible index enters, ties in the ratio test
+break toward the smallest basic variable index), which cannot cycle, so the
+iteration cap only trips on genuinely pathological input and raises instead
+of returning a wrong answer. The solver is deterministic: the same problem
 always produces the same basis and the same optimal vertex.
+
+With ``dantzig=True`` the column with the most negative reduced cost
+enters instead (Dantzig's rule), which takes far fewer pivots but can
+cycle on a degenerate vertex. So after ``STALL`` pivots in a row that do
+not lower the objective, Bland's rule picks until it falls, then Dantzig's
+again. Bland's rule ends from any basis, so each stall ends in a fall or in
+the phase's answer; each fall leaves a vertex for good, since the objective
+never rises, and there are finitely many vertices, so the solve still ends.
+Where an LP has several optimal vertices the two rules may end at
+different ones; with a unique optimum they end at the same vertex, up to
+round-off.
 
 A pivot costs what it changes, by one of three updates. On a narrow
 tableau a single outer-product update of every row is cheapest
@@ -30,7 +41,7 @@ first made canonical in it (B^-1 A, B^-1 b); rows whose right-hand side
 turns negative are negated and get an artificial variable, the others keep
 their basic variable. Without a usable basis every row gets an artificial,
 which is the cold start. Both then run the same phase 1, artificial
-drive-out and phase 2, so Bland's rule still guarantees termination, and a
+drive-out and phase 2, so the rule's termination still holds, and a
 warm start only shortens phase 1 when few rows lost feasibility. Phase 2
 runs in the phase-1 tableau's own buffer, its rows packed in place without
 the artificial columns, so a solve allocates one tableau, not two.
@@ -107,6 +118,10 @@ ROW_COST = 2048
 # with nonzeros scattered at random it breaks even near one in 24.
 SPARSE_COST = 16
 
+# Under Dantzig's rule, Bland's rule picks after this many pivots in a row
+# that do not lower the objective, until it falls.
+STALL = 20
+
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     pivot_row = tableau[row]
@@ -138,9 +153,16 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row, col] = 1.0
 
 
-def _entering(tableau: np.ndarray, n_cols: int, tol: float) -> int | None:
-    """Bland: leftmost column with a negative reduced cost."""
-    candidates = (tableau[-1, :n_cols] < -tol).nonzero()[0]
+def _entering(
+    tableau: np.ndarray, n_cols: int, tol: float, dantzig: bool
+) -> int | None:
+    """Bland: leftmost column with a negative reduced cost. Dantzig: the
+    most negative one, the leftmost of equals."""
+    reduced = tableau[-1, :n_cols]
+    if dantzig:
+        col = int(reduced.argmin())
+        return col if reduced[col] < -tol else None
+    candidates = (reduced < -tol).nonzero()[0]
     return int(candidates[0]) if candidates.size else None
 
 
@@ -163,10 +185,13 @@ def _run_phase(
     n_cols: int,
     tol: float,
     max_iter: int,
+    dantzig: bool,
 ) -> tuple[str, int]:
-    iterations = 0
+    iterations = stalled = 0
+    # minus the objective at the last fall: a pivot raises it or leaves it
+    record = tableau[-1, -1]
     while True:
-        col = _entering(tableau, n_cols, tol)
+        col = _entering(tableau, n_cols, tol, dantzig and stalled < STALL)
         if col is None:
             return "optimal", iterations
         row = _leaving(tableau, col, basis, tol)
@@ -177,6 +202,11 @@ def _run_phase(
         iterations += 1
         if iterations > max_iter:
             raise SimplexError(f"pivot limit {max_iter} exceeded")
+        if dantzig:
+            if tableau[-1, -1] > record + tol * (1.0 + abs(record)):
+                record, stalled = tableau[-1, -1], 0
+            else:
+                stalled += 1
 
 
 # An optimal answer is certified when its primal residual, negative entries
@@ -194,6 +224,7 @@ def solve_standard_form(
     max_iter: int | None = None,
     basis: np.ndarray | None = None,
     elimination: Elimination | None = None,
+    dantzig: bool = False,
 ) -> SimplexResult:
     """Minimize c.x over {A x = b, x >= 0}.
 
@@ -203,7 +234,8 @@ def solve_standard_form(
     ignored. The result's ``warm`` says whether the answer came from the
     warm start. ``elimination``, that previous result's ``elimination``,
     spares the warm start its own elimination of ``basis`` when it read
-    the same values (see the module docstring).
+    the same values (see the module docstring). ``dantzig`` pivots by
+    Dantzig's rule, falling back to Bland's on a stall.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -236,7 +268,7 @@ def solve_standard_form(
             eliminations = 1
         if elimination.inverse is not None:
             start = _canonical(a, b, elimination)
-            result = _two_phase(c, *start, b_scale, tol, max_iter)
+            result = _two_phase(c, *start, b_scale, tol, max_iter, dantzig)
             result.eliminations = eliminations
             if result.status != "optimal" or _certified(
                 c, a, b, result, tol, elimination
@@ -244,7 +276,7 @@ def solve_standard_form(
                 result.warm = True
                 return result
             pivots, eliminations = result.iterations, result.eliminations
-    result = _two_phase(c, a, b, None, b_scale, tol, max_iter)
+    result = _two_phase(c, a, b, None, b_scale, tol, max_iter, dantzig)
     result.iterations += pivots
     result.eliminations = eliminations
     if result.status == "optimal" and not _certified(c, a, b, result, tol):
@@ -329,6 +361,7 @@ def _two_phase(
     b_scale: float,
     tol: float,
     max_iter: int,
+    dantzig: bool,
 ) -> SimplexResult:
     """Phase 1, drive-out and phase 2 from ``start``, in which [a | b] is canonical.
 
@@ -352,7 +385,7 @@ def _two_phase(
     basis = np.arange(n, n + m) if start is None else start
     basis[art] = n + np.arange(k)
 
-    status, it1 = _run_phase(tableau, basis, n + k, tol, max_iter)
+    status, it1 = _run_phase(tableau, basis, n + k, tol, max_iter, dantzig)
     if status == "unbounded":
         raise SimplexError("phase 1 reported unbounded")
     phase1_obj = -tableau[-1, -1]
@@ -390,7 +423,7 @@ def _two_phase(
     tableau[-1, :n] = c - c[basis] @ tableau[:-1, :n]
     tableau[-1, -1] = -float(c[basis] @ tableau[:-1, -1])
 
-    status, it2 = _run_phase(tableau, basis, n, tol, max_iter)
+    status, it2 = _run_phase(tableau, basis, n, tol, max_iter, dantzig)
     iterations = it1 + it2
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, None, iterations)

@@ -725,6 +725,36 @@ def test_run_parallel_matches_serial(tmp_path, reference_config):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+@pytest.mark.parametrize("seeds, workers", [("0,1", [2]), ("0", [])])
+def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, seeds, workers):
+    """``--jobs 64`` on two seeds asks for a pool of two, and on one seed
+    runs serially."""
+    import concurrent.futures
+
+    started = []
+
+    class RecordingExecutor:
+        """Records ``max_workers`` and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    config = str(bundled_scenario_path("reference"))
+    args = ["--horizon", "20", "--seeds", seeds, "--jobs", "64"]
+    assert main(["run", "--config", config, "--out", str(tmp_path), *args]) == EXIT_OK
+    assert started == workers
+    assert json.loads((tmp_path / "manifest.json").read_text())["jobs"] == 64
+
+
 def test_run_parses_the_scenario_once(tmp_path, monkeypatch):
     """The seeds run from the parent's parsed Scenario, not from its JSON."""
     parse = cli_module.parse_scenario

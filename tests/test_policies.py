@@ -567,14 +567,14 @@ def test_infeasible_resolve_keeps_the_previous_basis(reference):
 
 
 def test_warm_resolves_leave_the_run_unchanged(monkeypatch):
-    """2,000 slots of reference_regime, warm against cold re-solves."""
+    """2,000 slots of reference_regime, warm against cold re-solves, and
+    Dantzig's rule against Bland's."""
     scenario = load_scenario(bundled_scenario_path("reference_regime"))
 
-    def simulate():
+    def simulate(**params):
         rng = np.random.default_rng(0)
-        policy = make_policy(
-            scenario.policy_name, scenario.cfg, scenario.cm, rng, scenario.policy_params
-        )
+        params = {**scenario.policy_params, **params}
+        policy = make_policy(scenario.policy_name, scenario.cfg, scenario.cm, rng, params)
         trace = run(
             scenario.cfg,
             scenario.cm,
@@ -588,6 +588,7 @@ def test_warm_resolves_leave_the_run_unchanged(monkeypatch):
         return policy, trace
 
     warm_policy, warm = simulate()
+    zero_policy, _ = simulate(eps_p=0.0)  # an optimum that may not be unique
     real_solve = policies_module.solve_lp
 
     def solve_dropping(dropped):
@@ -601,10 +602,13 @@ def test_warm_resolves_leave_the_run_unchanged(monkeypatch):
     unreused_policy, unreused = simulate()
     monkeypatch.setattr(policies_module, "solve_lp", solve_dropping("basis"))
     cold_policy, cold = simulate()
+    monkeypatch.setattr(policies_module, "solve_lp", solve_dropping("dantzig"))
+    bland_policy, bland = simulate()
+    zero_bland_policy, _ = simulate(eps_p=0.0)
 
     for field in dataclasses.fields(warm):
         expected = getattr(warm, field.name)
-        for other in (unreused, cold):
+        for other in (unreused, cold, bland):
             got = getattr(other, field.name)
             np.testing.assert_array_equal(got, expected, err_msg=field.name)
     assert warm_policy.lp_solves == cold_policy.lp_solves > 10
@@ -616,6 +620,12 @@ def test_warm_resolves_leave_the_run_unchanged(monkeypatch):
     assert unreused_policy.lp_pivots == warm_policy.lp_pivots
     assert warm_policy.lp_eliminations < unreused_policy.lp_eliminations
     assert unreused_policy.lp_eliminations < 2 * unreused_policy.lp_solves
+    # Dantzig's rule takes fewer pivots to the same vertex; eps_p = 0 keeps
+    # Bland's rule
+    assert bland_policy.lp_solves == warm_policy.lp_solves
+    assert warm_policy.lp_pivots < bland_policy.lp_pivots
+    assert zero_policy.lp_solves > 10
+    assert zero_policy.lp_pivots == zero_bland_policy.lp_pivots
 
 
 def test_update_arrivals_every_slot(reference):

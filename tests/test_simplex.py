@@ -3,6 +3,7 @@
 import pickle
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,8 @@ def test_pivot_cap_raises_rather_than_lying():
     b = np.array([1.0])
     with pytest.raises(SimplexError):
         solve_standard_form(np.array([-1.0, 0.0]), a, b, max_iter=0)
+    with pytest.raises(SimplexError):
+        solve_standard_form(np.array([-1.0, 0.0]), a, b, max_iter=0, dantzig=True)
 
 
 def test_matches_bfs_enumeration_on_random_instances():
@@ -701,3 +704,98 @@ def test_leaving_matches_the_row_loop(seed, n_rows):
     assert simplex_module._leaving(tableau, 0, basis, 1e-9) == loop_leaving(
         tableau, 0, basis, 1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# Dantzig's rule with Bland's on a stall
+# ---------------------------------------------------------------------------
+
+
+def _beale():
+    """Beale's (1955) LP, whose slack basis x1..x3 Dantzig's rule cycles from."""
+    a = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.25, -60.0, -1 / 25, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -90.0, -1 / 50, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -1 / 50, 6.0])
+    return c, a, np.array([0.0, 0.0, 1.0])
+
+
+def test_dantzig_ends_on_beales_cycling_lp(monkeypatch):
+    c, a, b = _beale()
+    slack = np.arange(3)
+    res = solve_standard_form(c, a, b, basis=slack, dantzig=True)
+    assert res.status == "optimal" and res.warm
+    assert res.objective == pytest.approx(-1 / 20, abs=1e-12)
+    assert res.x == pytest.approx([0.03, 0.0, 0.0, 0.04, 0.0, 1.0, 0.0], abs=1e-12)
+    assert simplex_module._certified(c, a, b, res, 1e-9)
+    bland = solve_standard_form(c, a, b, basis=slack)
+    assert bland.iterations < res.iterations  # the stall cost the rule pivots
+
+    # without the fallback the rule cycles until the iteration cap
+    monkeypatch.setattr(simplex_module, "STALL", 10**9)
+    with pytest.raises(SimplexError, match="pivot limit"):
+        solve_standard_form(c, a, b, basis=slack, max_iter=500, dantzig=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    extra=st.integers(1, 8),
+    keep_feasible=st.booleans(),
+)
+def test_both_rules_give_one_answer_for_a_generic_cost(seed, m, extra, keep_feasible):
+    """Warm and cold, Bland's and Dantzig's rule end at the same vertex."""
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    c, a, b = _random_feasible(rng, m, n)
+    first = solve_standard_form(c, a, b)
+    a2 = a.copy()
+    rows = rng.random(m) < 0.5
+    a2[rows] = rng.uniform(-1.0, 2.0, size=(int(rows.sum()), n))
+    if keep_feasible:
+        b2 = a2 @ rng.uniform(0.0, 2.0, size=n)
+    else:  # the changed rows may now admit no x >= 0
+        b2 = b.copy()
+        b2[rows] = rng.uniform(-2.0, 2.0, size=int(rows.sum()))
+
+    want = solve_standard_form(c, a2, b2)
+    for basis in (None, first.basis):
+        for dantzig in (False, True):
+            got = solve_standard_form(c, a2, b2, basis=basis, dantzig=dantzig)
+            assert got.status == want.status
+            if want.status == "optimal":
+                assert got.objective == pytest.approx(want.objective, abs=1e-9)
+                assert np.allclose(got.x, want.x, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    n=st.integers(2, 8),
+    warm=st.booleans(),
+    stall=st.sampled_from([1, 2, simplex_module.STALL]),
+)
+def test_dantzig_ends_on_degenerate_lps(seed, m, n, warm, stall):
+    """Small-integer data with most right-hand sides 0 and one row bounding
+    x: ties in ratios and reduced costs, degenerate vertices at the origin.
+    The slack basis is a warm start there. So few rows seldom stall for
+    ``STALL`` pivots, so shorter stalls hand over to Bland's rule too."""
+    rng = np.random.default_rng(seed)
+    a_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
+    a_ub[-1] = rng.integers(1, 3, size=n)
+    b_ub = np.zeros(m)
+    b_ub[-1] = 1.0
+    c, a, b = to_standard_with_slack(rng.integers(-3, 3, size=n).astype(float), a_ub, b_ub)
+    basis = n + np.arange(m) if warm else None
+    with mock.patch.object(simplex_module, "STALL", stall):
+        res = solve_standard_form(c, a, b, basis=basis, dantzig=True)
+    bland = solve_standard_form(c, a, b, basis=basis)
+    assert res.status == bland.status == "optimal"
+    assert simplex_module._certified(c, a, b, res, 1e-9)
+    assert res.objective == pytest.approx(bland.objective, abs=1e-9)
