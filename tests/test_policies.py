@@ -574,7 +574,9 @@ def test_warm_resolves_leave_the_run_unchanged(monkeypatch):
     def simulate(**params):
         rng = np.random.default_rng(0)
         params = {**scenario.policy_params, **params}
-        policy = make_policy(scenario.policy_name, scenario.cfg, scenario.cm, rng, params)
+        policy = make_policy(
+            scenario.policy_name, scenario.cfg, scenario.cm, rng, params
+        )
         trace = run(
             scenario.cfg,
             scenario.cm,

@@ -711,7 +711,7 @@ def test_leaving_matches_the_row_loop(seed, n_rows):
 # ---------------------------------------------------------------------------
 
 
-def _beale():
+def test_dantzig_ends_on_beales_cycling_lp(monkeypatch):
     """Beale's (1955) LP, whose slack basis x1..x3 Dantzig's rule cycles from."""
     a = np.array(
         [
@@ -720,12 +720,8 @@ def _beale():
             [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
         ]
     )
+    b = np.array([0.0, 0.0, 1.0])
     c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -1 / 50, 6.0])
-    return c, a, np.array([0.0, 0.0, 1.0])
-
-
-def test_dantzig_ends_on_beales_cycling_lp(monkeypatch):
-    c, a, b = _beale()
     slack = np.arange(3)
     res = solve_standard_form(c, a, b, basis=slack, dantzig=True)
     assert res.status == "optimal" and res.warm
@@ -791,7 +787,8 @@ def test_dantzig_ends_on_degenerate_lps(seed, m, n, warm, stall):
     a_ub[-1] = rng.integers(1, 3, size=n)
     b_ub = np.zeros(m)
     b_ub[-1] = 1.0
-    c, a, b = to_standard_with_slack(rng.integers(-3, 3, size=n).astype(float), a_ub, b_ub)
+    cost = rng.integers(-3, 3, size=n).astype(float)
+    c, a, b = to_standard_with_slack(cost, a_ub, b_ub)
     basis = n + np.arange(m) if warm else None
     with mock.patch.object(simplex_module, "STALL", stall):
         res = solve_standard_form(c, a, b, basis=basis, dantzig=True)
