@@ -133,6 +133,17 @@ def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
     return out
 
 
+def progress(workload: str, i: int, count: int, pair: dict) -> str:
+    """The progress line of pair ``i`` (from 0) of ``count``: each end-to-end
+    metric, before -> after."""
+    readings = ", ".join(
+        f"{name} {pair['before']['metrics'][name]['value']:.4f} -> "
+        f"{pair['after']['metrics'][name]['value']:.4f}"
+        for name in METRICS
+    )
+    return f"{workload} pair {i + 1}/{count}: {readings}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", required=True, help="git revision or directory")
@@ -179,10 +190,7 @@ def main() -> int:
                         return 1
                     pair[side] = result
                 pairs.append({"first": order[0], "seed": i, **pair})
-                print(f"{workload} pair {i + 1}/{count}: command_s "
-                      f"{pair['before']['metrics']['command_s']['value']:.3f} -> "
-                      f"{pair['after']['metrics']['command_s']['value']:.3f}",
-                      file=sys.stderr)
+                print(progress(workload, i, int(count), pair), file=sys.stderr)
             record["workloads"][workload] = {"summary": summarize(pairs, bounds),
                                              "pairs": pairs}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

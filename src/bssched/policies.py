@@ -11,17 +11,15 @@ the service drawn from the planned alpha. ``max_weight(q, j, h_index)``
 serves the pre-arrival queues otherwise (the engine applies departures
 before arrivals). ``q`` is the engine's flat list of queue lengths, one
 int per (station, user) pair in row-major order, and ``arrivals`` holds
-the slot's arrivals in the same order: a bool array under Bernoulli
-arrivals, a list of ints under binomial ones, or a function of no
-arguments that returns them when called during ``step`` (the engine
-passes one, since a policy with estimates mostly does not read them), and
-None for a policy without estimates, which never reads it. The engine's
-function compares the slot's uniforms with the rates under Bernoulli
-arrivals; under binomial ones it runs the inversion sampler again on the
-uniforms the slot's arrivals took, or, in a regime drawn slot by slot
-(one that needs BTPE or in which a draw can restart), reads the counts
-drawn. A service is a list of (link, rate) pairs into ``q``, at most one
-per serving station.
+the slot's arrival counts in the same order (an int array or list), or a
+function of no arguments that returns them when called during ``step``
+(the engine passes one, since a policy with estimates mostly does not
+read them), and None for a policy without estimates, which never reads
+it. The engine's function applies the regime's block sampler to the
+uniforms the slot's arrivals took, an int64 array under either law, or,
+in a regime drawn slot by slot by ``rng.binomial`` (one that needs BTPE
+or in which a draw can restart), lists the counts drawn. A service is a
+list of (link, rate) pairs into ``q``, at most one per serving station.
 No ``step`` draws more than ``Policy.max_step_draws`` uniforms, so the
 engine can draw a block of slots ahead. From such a block ``always_on``
 and ``static_split_mw`` make a whole block's draws at once, from event to

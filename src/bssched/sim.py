@@ -31,31 +31,30 @@ byte-identical traces, and blocks change no draw. Except in a regime
 drawn slot by slot (below), pass 1 draws as many uniforms as the block's
 slots could take (no ``step`` takes more than ``Policy.max_step_draws``)
 in one call, hands them out in that order, and computes the block's
-arrivals in numpy after the loop, from each slot's window of uniforms. A
-policy with estimates gets its slot's arrivals as a function that builds
-them from the same uniforms (or, slot by slot, from the slot's counts),
-only when the policy reads them. The generator then moves by exactly the
-uniforms used.
+arrivals after the loop by the regime's block sampler, in one numpy call
+on every slot's window of uniforms. A policy with estimates gets its
+slot's arrivals as a function that builds them only when the policy
+reads them: by the same sampler on the slot's window, or, slot by slot,
+from the slot's counts. The generator then moves by exactly the uniforms
+used.
 
-The arrivals are computed per link from the uniforms numpy's own
-samplers would consume, in row-major link order, so the stream is the
-one ``rng.random((M, n)) < rates`` or ``rng.binomial(max_arrivals, rates
-/ max_arrivals)`` gives. Bernoulli arrivals take all M * n uniforms and
-test the adjacency links. Binomial arrivals port numpy's inversion
-sampler: a link with p = 0 takes no uniform, p > 0.5 draws n - X(1 - p),
-and each draw takes one uniform plus one per restart, a restart being a
-draw that passes the sampler's bound. A block's counts come from a
-(slots x K) matrix of uniforms by the sampler's own px recursion,
-subtractions and tests, bit for bit, which holds while no uniform
-restarts. ``fl(v - px)`` never decreases as the uniform v grows, so some
-uniform restarts a link exactly when 1 - 2**-53 does (``_can_restart``).
-That depends on the rate: no bundled scenario's rate can restart, but at
-max_arrivals 2 about one p in thirteen between 0.13 and 0.86 can. A
-regime in which some link can restart draws slot by slot, the slot's
-uniforms in one call and one more per restart; a regime in which some
-link expects more than 30 arrivals (or misses more than 30) needs numpy's
-BTPE sampler and calls ``rng.binomial`` on the adjacency links, slot by
-slot. Neither has a block of uniforms.
+The stream is the one ``rng.random((M, n)) < rates`` or
+``rng.binomial(max_arrivals, rates / max_arrivals)`` gives, per link in
+row-major order. Bernoulli arrivals take all M * n uniforms and test the
+adjacency links (``_Bernoulli``). Binomial arrivals follow numpy's
+inversion sampler: a link with p = 0 takes no uniform, p > 0.5 draws
+n - X(1 - p), and each draw takes one uniform plus one per restart, a
+restart being a draw that passes the sampler's bound.
+``_Inversion.counts`` computes a block's counts from a (slots x K)
+matrix of uniforms by the sampler's own px recursion, subtractions and
+tests, bit for bit, which holds while no uniform restarts. ``fl(v - px)``
+never decreases as the uniform v grows, so some uniform restarts a link
+exactly when 1 - 2**-53 does (``_can_restart``). That depends on the
+rate: no bundled scenario's rate can restart, but at max_arrivals 2
+about one p in thirteen between 0.13 and 0.86 can. A regime in which
+some link can restart, or expects more than 30 arrivals (or misses more
+than 30) and so needs numpy's BTPE sampler, has no block sampler: it
+calls ``rng.binomial`` on the adjacency links, slot by slot.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
-from numbers import Integral
+from itertools import repeat
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,8 +95,10 @@ class RegimeSchedule:
             raise ValueError("regime start slots must be 1-based integers")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError("regime start slots must be strictly increasing")
-        # written so that NaN fails
-        if any(not 0 < scale < np.inf for _, scale in self.changes):
+        scales = [scale for _, scale in self.changes]
+        if any(isinstance(c, bool) or not isinstance(c, Real) for c in scales):
+            raise ValueError("regime scales must be real numbers")
+        if any(not 0 < scale < np.inf for scale in scales):  # written so that NaN fails
             raise ValueError("regime scales must be positive and finite")
 
     def boundaries(self) -> tuple[int, ...]:
@@ -162,50 +163,14 @@ def draw_channel_index(cum_pmf: list[float], rng: np.random.Generator) -> int:
     return min(bisect_right(cum_pmf, rng.random()), len(cum_pmf) - 1)
 
 
-def _inversion_table(n: int, probs: list[tuple[int, float]]) -> list[tuple] | None:
-    """numpy's binomial(n, p) inversion constants for each (link, p) with p > 0,
-    as (link, flip, p, q, qn, bound), or None if some p needs BTPE.
-
-    A p above 0.5 is drawn as n minus a draw at 1 - p (``flip``). ``qn``
-    must be exp(n * log1p(-p)): exp(n * log(q)) is an ulp off at some p.
-    """
-    table = []
-    for link, p in probs:
-        if p == 0:
-            continue
-        flip = p > 0.5
-        if flip:
-            p = 1.0 - p
-        if p * n > 30.0:
-            return None
-        q = 1.0 - p
-        mean = n * p
-        bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-        table.append((link, flip, p, q, math.exp(n * math.log1p(-p)), bound))
-    return table
-
-
-def _inversion_arrivals(n: int, table: list[tuple], random) -> list[int]:
-    """One binomial(n, p) draw per ``_inversion_table`` entry, in its order,
-    taking the uniforms ``rng.binomial`` would from ``random()``: one per
-    entry, and one more for each restart, next in the stream."""
-    counts = []
-    for _, flip, p, q, qn, bound in table:
-        x, px, v = 0, qn, random()
-        while v > px:
-            x += 1
-            if x > bound:
-                x, px, v = 0, qn, random()
-            else:
-                v -= px
-                px = ((n - x + 1) * p * px) / (x * q)
-        counts.append(n - x if flip else x)
-    return counts
-
-
-def _px_steps(n: int, p: float, q: float, qn: float, bound: int) -> list[float]:
-    """The px that numpy's inversion at (n, p) tests for counts 0 to ``bound``."""
-    steps = [qn]
+def _px_steps(n: int, p: float) -> list[float]:
+    """The px that numpy's inversion at (n, p), 0 < p <= 0.5, tests for
+    counts 0 to its bound. The first must be exp(n * log1p(-p)):
+    exp(n * log(1 - p)) is an ulp off at some p."""
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    steps = [math.exp(n * math.log1p(-p))]
     for x in range(1, bound + 1):
         steps.append(((n - x + 1) * p * steps[-1]) / (x * q))
     return steps
@@ -223,29 +188,43 @@ def _can_restart(steps: list[float]) -> bool:
     return True
 
 
-class _Inversion:
-    """A regime's ``_inversion_table`` with what a block needs to draw it
-    from a matrix of uniforms: the table's ``links``, ``steps`` (each
-    link's ``_px_steps`` as a column, +inf past its bound), the ``flip``
-    columns, and whether some link ``restarts`` on some uniform, in which
-    case the regime is drawn slot by slot instead."""
+class _Bernoulli:
+    """A Bernoulli regime's block sampler: each slot takes ``width`` (M * n)
+    uniforms, and ``counts`` tests those at ``offsets`` against the rates of
+    ``links`` (the adjacency links, row-major)."""
 
-    __slots__ = ("n", "table", "links", "steps", "flip", "restarts")
+    __slots__ = ("width", "offsets", "links", "rates")
 
-    def __init__(self, n: int, table: list[tuple]):
-        self.n, self.table = n, table
-        self.links = np.array([entry[0] for entry in table], dtype=np.intp)
-        columns = [_px_steps(n, *entry[2:]) for entry in table]
-        self.steps = np.full((max(map(len, columns), default=1), len(table)), np.inf)
-        for col, column in enumerate(columns):
-            self.steps[: len(column), col] = column
-        self.flip = np.array([entry[1] for entry in table], dtype=bool)
-        self.restarts = any(map(_can_restart, columns))
+    def __init__(self, width: int, links: np.ndarray, rates: np.ndarray):
+        self.width, self.offsets, self.links, self.rates = width, links, links, rates
 
     def counts(self, u: np.ndarray) -> np.ndarray:
-        """Each row's draws from a (slots, K) matrix of uniforms, none of
-        which restarts: ``_inversion_arrivals``' subtractions and tests,
-        one count at a time over the whole matrix."""
+        """Whether each uniform in the last axis of ``u`` is below its link's rate."""
+        return u < self.rates
+
+
+class _Inversion:
+    """A binomial(n, p) regime's block sampler by numpy's inversion: each
+    slot takes one uniform per link with p > 0 (``links``, row-major), at
+    ``offsets`` 0 to ``width`` - 1. ``steps`` holds each link's ``_px_steps``
+    as a column (+inf past its bound) at min(p, 1 - p), and ``flip`` marks
+    the links with p > 0.5, drawn as n - X(1 - p)."""
+
+    __slots__ = ("n", "width", "offsets", "links", "steps", "flip")
+
+    def __init__(self, n: int, links: list[int], flip: list[bool], columns: list[list[float]]):
+        self.n, self.width = n, len(links)
+        self.offsets = np.arange(self.width)
+        self.links = np.array(links, dtype=np.intp)
+        self.steps = np.full((max(map(len, columns), default=1), self.width), np.inf)
+        for col, column in enumerate(columns):
+            self.steps[: len(column), col] = column
+        self.flip = np.array(flip, dtype=bool)
+
+    def counts(self, u: np.ndarray) -> np.ndarray:
+        """The draws from uniforms whose last axis runs over ``links``, none
+        of which restarts: numpy's subtractions and tests, one count at a
+        time over the whole array."""
         count = np.zeros(u.shape, dtype=np.int64)
         alive = np.ones(u.shape, dtype=bool)
         for px in self.steps:
@@ -254,8 +233,27 @@ class _Inversion:
                 break
             count += alive
             u = u - px
-        count[:, self.flip] = self.n - count[:, self.flip]
+        count[..., self.flip] = self.n - count[..., self.flip]
         return count
+
+
+def _inversion(n: int, probs: list[tuple[int, float]]) -> _Inversion | None:
+    """The block sampler for binomial(n, p) on each (link, p), or None if
+    some link needs numpy's BTPE (min(p, 1 - p) * n > 30) or can restart."""
+    links, flip, columns = [], [], []
+    for link, p in probs:
+        if p == 0:  # numpy takes no uniform
+            continue
+        flip.append(p > 0.5)
+        p = min(p, 1.0 - p)
+        if p * n > 30.0:
+            return None
+        steps = _px_steps(n, p)
+        if _can_restart(steps):
+            return None
+        links.append(link)
+        columns.append(steps)
+    return _Inversion(n, links, flip, columns)
 
 
 def _scales(regime: RegimeSchedule | None) -> dict[int, float]:
@@ -309,14 +307,15 @@ class _Uniforms:
         return self.values[at]
 
 
-def _bernoulli_reader(u: np.ndarray, starts: list[int], rates: np.ndarray):
-    """The current slot's Bernoulli arrivals, from the uniforms at the last
-    of ``starts``, as a function that builds them when called."""
-    size = rates.size
+def _block_reader(u: np.ndarray, starts: list[int], sampler, size: int):
+    """The current slot's arrival counts, by ``sampler`` on its window of
+    ``u`` at the last of ``starts``, as a function that builds them, an
+    int64 array of ``size``, when called."""
 
     def arrivals() -> np.ndarray:
-        at = starts[-1]
-        return u[at : at + size] < rates
+        counts = np.zeros(size, dtype=np.int64)
+        counts[sampler.links] = sampler.counts(u[starts[-1] + sampler.offsets])
+        return counts
 
     return arrivals
 
@@ -328,22 +327,6 @@ def _count_reader(arrived: list[tuple], bounds: list[int], size: int):
     def arrivals() -> list[int]:
         counts = [0] * size
         for link, n_new in arrived[bounds[-2] : bounds[-1]]:
-            counts[link] = n_new
-        return counts
-
-    return arrivals
-
-
-def _inversion_reader(values, starts: list[int], inversion: _Inversion, size: int):
-    """The current slot's binomial arrival counts, drawn again from the
-    uniforms at the last of ``starts``, as a function that builds them when
-    called."""
-
-    def arrivals() -> list[int]:
-        counts = [0] * size
-        draws = iter(values[starts[-1] :]).__next__
-        drawn = _inversion_arrivals(inversion.n, inversion.table, draws)
-        for (link, *_), n_new in zip(inversion.table, drawn):
             counts[link] = n_new
         return counts
 
@@ -397,19 +380,15 @@ def run(
     # numpy draws in row-major order, so the links are taken in that order
     links = sorted(m * cfg.n_users + u for m, u in cfg.adjacency)
     link_array = np.array(links, dtype=np.intp)
-    regimes = {}  # start slot: (rates, Bernoulli link rates or _Inversion, BTPE p)
+    regimes = {}  # start slot: (rates, block sampler or None, the links' binomial p)
     for start, scale in _scales(regime).items():
         rates = np.asarray(cfg.arrival_rates, dtype=float) * scale
+        link_rates = rates.ravel()[link_array]
         if bernoulli:
-            regimes[start] = (rates, rates.ravel()[link_array], None)
-            continue
-        flat = rates.ravel().tolist()
-        probs = [(k, flat[k] / n_max) for k in links]
-        table = _inversion_table(n_max, probs)
-        if table is None:
-            regimes[start] = (rates, None, np.array([p for _, p in probs]))
+            regimes[start] = (rates, _Bernoulli(size, link_array, link_rates), None)
         else:
-            regimes[start] = (rates, _Inversion(n_max, table), None)
+            ps = link_rates / n_max
+            regimes[start] = (rates, _inversion(n_max, list(zip(links, ps.tolist()))), ps)
     cum_array = np.cumsum(np.asarray(cm.pmf, dtype=float))
     cum_pmf = cum_array.tolist()
     true_mu = np.asarray(cm.pmf, dtype=float)
@@ -437,9 +416,8 @@ def run(
     while t0 <= horizon:
         # pass 1: the block's draws, none of which reads the queues
         if t0 in regimes:
-            rates_now, table, btpe = regimes[t0]
-            predraw = btpe is None and (bernoulli or not table.restarts)
-            flat_rates = rates_now.ravel()
+            rates_now, sampler, ps = regimes[t0]
+            predraw = sampler is not None
             seen_version = None  # lambda_err is against the new rates
             end = min([s for s in regimes if s > t0], default=horizon + 1)
         t1 = min(t0 + BLOCK_SLOTS, end, horizon + 1)
@@ -448,7 +426,7 @@ def run(
         source, drawn = rng, None
         if predraw:  # every uniform the block's slots could take, at once
             saved = rng.bit_generator.state
-            width = size if bernoulli else len(table.table)
+            width = sampler.width
             u = rng.random((t1 - t0) * (width + 1 + policy.max_step_draws))
             source = _Uniforms(u)
             starts = []
@@ -462,25 +440,18 @@ def run(
             slots = []
             a = None
             if has_estimates:  # only the learning policies read them, and mostly not
-                if not predraw:
-                    a = _count_reader(arrived, bounds, size)
-                elif bernoulli:
-                    a = _bernoulli_reader(u, starts, flat_rates)
+                if predraw:
+                    a = _block_reader(u, starts, sampler, size)
                 else:
-                    a = _inversion_reader(source.values, starts, table, size)
+                    a = _count_reader(arrived, bounds, size)
             for t in range(t0, t1):
                 if predraw:  # the arrivals are computed in numpy after the loop
                     at = source.at
                     starts.append(at)
                     source.at = at + width
                 else:
-                    if btpe is None:  # the slot's uniforms in one call, then one per restart
-                        draws = chain(rng.random(len(table.table)).tolist(), iter(rng.random, None))
-                        counts = _inversion_arrivals(n_max, table.table, draws.__next__)
-                        arrived += [(entry[0], x) for entry, x in zip(table.table, counts) if x]
-                    else:
-                        counts = rng.binomial(n_max, btpe).tolist()
-                        arrived += [(k, x) for k, x in zip(links, counts) if x]
+                    counts = rng.binomial(n_max, ps).tolist()
+                    arrived += [(k, x) for k, x in zip(links, counts) if x]
                     bounds.append(len(arrived))
                 h = draw_channel_index(cum_pmf, source)
                 slots.append((h, *step(t, h, a, source)))
@@ -496,13 +467,10 @@ def run(
         if predraw:  # put the generator back, moved by the uniforms used
             rng.bit_generator.state = saved
             rng.random(source.at)
-            if bernoulli:
-                slot, col = np.nonzero(u[np.add.outer(starts, link_array)] < table)
-                arrived = list(zip(link_array[col].tolist(), repeat(1)))
-            else:
-                counts = table.counts(u[np.add.outer(starts, np.arange(width))])
-                slot, col = np.nonzero(counts)
-                arrived = list(zip(table.links[col].tolist(), counts[slot, col].tolist()))
+            counts = sampler.counts(u[np.add.outer(starts, sampler.offsets)])
+            slot, col = np.nonzero(counts)
+            n_new = repeat(1) if bernoulli else counts[slot, col].tolist()
+            arrived = list(zip(sampler.links[col].tolist(), n_new))
             bounds = np.searchsorted(slot, np.arange(t1 - t0 + 1)).tolist()
 
         # pass 2: serve and update the queues, slot by slot

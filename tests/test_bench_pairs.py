@@ -110,3 +110,15 @@ def test_revisions_are_recorded_by_commit_id(tmp_path, monkeypatch):
     assert bench_pairs.commit(str(tmp_path)) is None  # a directory, not a revision
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.commit("no-such-revision")
+
+
+def test_each_pairs_progress_line_reads_every_end_to_end_metric():
+    values = {"command_s": (0.1943, 0.197), "setup_s": (0.173, 0.1731),
+              "work_s": (0.02334, 0.0235), "peak_rss_mb": (37.004, 37.023)}
+    pair = {side: {"metrics": {name: {"value": v[k]} for name, v in values.items()}}
+            for k, side in enumerate(("before", "after"))}
+    assert bench_pairs.progress("slots_binomial", 2, 10, pair) == (
+        "slots_binomial pair 3/10: command_s 0.1943 -> 0.1970, "
+        "setup_s 0.1730 -> 0.1731, work_s 0.0233 -> 0.0235, "
+        "peak_rss_mb 37.0040 -> 37.0230"
+    )

@@ -1,6 +1,7 @@
 """Simulation engine tests: slot mechanics, reproducibility, diagnostics."""
 
 import dataclasses
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -23,9 +24,7 @@ from bssched.sim import (
     RegimeSchedule,
     SimTrace,
     _can_restart,
-    _Inversion,
-    _inversion_arrivals,
-    _inversion_table,
+    _inversion,
     _px_steps,
     arrival_errors,
     draw_channel_index,
@@ -273,18 +272,13 @@ def test_force_next_uniform():
 
 
 def _cumulative_pmf(n, p):
-    """numpy's inversion thresholds for binomial(n, p): its px recursion
-    (at min(p, 1 - p)) summed up to the bound."""
-    table = _inversion_table(n, [(0, p)])
-    if not table:
+    """numpy's inversion thresholds for binomial(n, p): the running sums of
+    its ``_px_steps`` at min(p, 1 - p); none where it takes no uniform or
+    BTPE."""
+    low = min(p, 1.0 - p)
+    if p == 0 or low * n > 30.0:
         return []
-    _, _, p, q, px, bound = table[0]
-    edges, total = [px], px
-    for x in range(1, bound + 1):
-        px = ((n - x + 1) * p * px) / (x * q)
-        total += px
-        edges.append(total)
-    return edges
+    return list(accumulate(_px_steps(n, low)))
 
 
 @st.composite
@@ -303,54 +297,15 @@ def _binomial_draw(draw):
     return n, ps, k
 
 
-@settings(max_examples=500, deadline=None)
-@given(case=_binomial_draw(), seed=st.integers(0, 2**32 - 1))
-def test_inversion_port_equals_numpy_binomial(case, seed):
-    """The engine's inversion sampler gives rng.binomial(n, ps)'s values and
-    leaves the generator where numpy leaves it, at every inversion edge,
-    one uniform step either side of it, on restarts and at p = 0 (no
-    uniform), p = 1, p = 0.5 and n * p near 30; past 30 numpy takes BTPE
-    and the table says so."""
-    n, ps, k = case
-    table = _inversion_table(n, list(enumerate(ps)))
-    if table is None:
-        assert any(min(p, 1.0 - p) * n > 30.0 for p in ps)
-        return
-    port, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    if k is not None:
-        force_next_uniform(port, k)
-        force_next_uniform(numpy_rng, k)
-    got = [0] * len(ps)
-    for (link, *_), x in zip(table, _inversion_arrivals(n, table, port.random)):
-        got[link] = x
-    assert got == numpy_rng.binomial(n, ps).tolist()
-    assert port.random() == numpy_rng.random()
-
-
-@pytest.mark.parametrize("n, p", [(100, 0.01), (40, 0.2), (25, 0.97)])
-def test_inversion_restart_takes_the_next_uniform(n, p):
-    """A first uniform past the bound's mass restarts the draw on the next
-    uniform, as numpy does; a second link then draws past the block."""
-    port, numpy_rng, stream = (np.random.default_rng(8) for _ in range(3))
-    for rng in (port, numpy_rng, stream):
-        force_next_uniform(rng, 2**53 - 1)
-    got = _inversion_arrivals(n, _inversion_table(n, [(0, p), (1, 0.3)]), port.random)
-    assert got == numpy_rng.binomial(n, [p, 0.3]).tolist()
-    stream.random(3)  # two for link 0, one for link 1
-    assert port.random() == numpy_rng.random() == stream.random()
-
-
-def _restarts(n, entry, u):
-    """Whether ``_inversion_arrivals`` restarts a draw for ``entry`` on the
-    first uniform ``u``, as it asks for a second one."""
-    taken = []
-
-    def random():
-        taken.append(u)
-        return u if len(taken) == 1 else 0.0
-
-    _inversion_arrivals(n, [entry], random)
-    return len(taken) > 1
+def _restarts(n, p, k):
+    """Whether ``rng.binomial(n, p)`` restarts its inversion draw on the
+    first uniform k * 2**-53, as it takes more than that one uniform."""
+    binomial, stream = np.random.default_rng(0), np.random.default_rng(0)
+    for rng in (binomial, stream):
+        force_next_uniform(rng, k)
+    binomial.binomial(n, p)
+    stream.random()
+    return binomial.bit_generator.state != stream.bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)
@@ -363,49 +318,46 @@ def _restarts(n, entry, u):
     data=st.data(),
 )
 def test_a_draw_can_restart_exactly_when_the_largest_uniform_restarts_it(n, p, data):
-    """A uniform that restarts the draw in ``_inversion_arrivals`` has every
-    larger one restart it too, so some uniform restarts it exactly when
-    1 - 2**-53 does, which is what ``_can_restart`` says. The uniforms are
-    drawn at gaps from 1 of every scale, where restarts begin."""
-    table = _inversion_table(n, [(0, p)])
-    if not table:  # p = 0, or BTPE
+    """A first uniform on which ``rng.binomial`` restarts its inversion draw
+    has every larger one restart it too, so some uniform restarts it exactly
+    when 1 - 2**-53 does, which is what ``_can_restart`` says. The uniforms
+    are drawn at gaps from 1 of every scale, where restarts begin."""
+    low = min(p, 1.0 - p)
+    if p == 0 or low * n > 30.0:  # no uniform, or BTPE
         return
-    entry = table[0]
     gap = data.draw(st.integers(1, 53).flatmap(lambda e: st.integers(1, 2**e)))
     k = 2**53 - gap
     larger = data.draw(st.integers(k, 2**53 - 1))
-    if _restarts(n, entry, k * 2.0**-53):
-        assert _restarts(n, entry, larger * 2.0**-53)
-    assert _can_restart(_px_steps(n, *entry[2:])) == _restarts(n, entry, 1.0 - 2.0**-53)
+    if _restarts(n, p, k):
+        assert _restarts(n, p, larger)
+    assert _can_restart(_px_steps(n, low)) == _restarts(n, p, 2**53 - 1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_binomial_draw(), data=st.data())
-def test_block_counts_equal_the_scalar_sampler(case, data):
-    """``_Inversion.counts`` on a matrix of uniforms gives, row by row, what
-    ``_inversion_arrivals`` gives on that row, in every regime that cannot
-    restart, with uniforms drawn anywhere, at the inversion edges, a step
-    either side of them, and next to 1."""
-    n, ps, _ = case
-    table = _inversion_table(n, list(enumerate(ps)))
-    if not table:
+@settings(max_examples=500, deadline=None)
+@given(case=_binomial_draw(), seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 4))
+def test_block_counts_equal_the_scalar_sampler(case, seed, slots):
+    """``_Inversion.counts`` on a block's uniforms gives, slot by slot, what
+    ``rng.binomial(n, ps)`` gives from an identical generator, which then
+    takes its next uniform where the block's would, with the first uniform
+    anywhere, at an inversion edge, a step either side of it, near 1 and
+    at 0. ``_inversion`` is None, so that the engine draws by
+    ``rng.binomial``, exactly when some link needs BTPE or can restart."""
+    n, ps, k = case
+    low = [min(p, 1.0 - p) for p in ps]
+    btpe = any(x * n > 30.0 for x in low)
+    restarts = any(p > 0 and _can_restart(_px_steps(n, x)) for p, x in zip(ps, low))
+    inversion = _inversion(n, list(enumerate(ps)))
+    assert (inversion is None) == (btpe or restarts)
+    if inversion is None:
         return
-    inversion = _Inversion(n, table)
-    if inversion.restarts:  # the engine draws it by rng.binomial
-        return
-    edges = [
-        min(max(int(c * 2.0**53) + step, 0), 2**53 - 1)
-        for p in ps
-        for c in _cumulative_pmf(n, p)
-        if c < 1.0
-        for step in (-1, 0, 1)
-    ]
-    near_one = st.integers(1, 2**20).map(lambda d: 2**53 - d)
-    k = st.one_of(st.integers(0, 2**53 - 1), st.sampled_from(edges or [0]), near_one)
-    row = st.lists(k, min_size=len(table), max_size=len(table))
-    u = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=float) * 2.0**-53
-    expected = [_inversion_arrivals(n, table, iter(row).__next__) for row in u.tolist()]
-    assert inversion.counts(u).tolist() == expected
+    block, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if k is not None:
+        force_next_uniform(block, k)
+        force_next_uniform(numpy_rng, k)
+    got = np.zeros((slots, len(ps)), dtype=np.int64)
+    got[:, inversion.links] = inversion.counts(block.random((slots, inversion.width)))
+    assert got.tolist() == [numpy_rng.binomial(n, ps).tolist() for _ in range(slots)]
+    assert block.random() == numpy_rng.random()
 
 
 def test_bernoulli_rejects_scaled_rate_above_one(reference):
@@ -462,6 +414,14 @@ def test_regime_schedule_validation():
 def test_regime_start_must_be_an_integer(start):
     with pytest.raises(ValueError, match="integers"):
         RegimeSchedule(changes=((start, 2.0),))
+
+
+@pytest.mark.parametrize("scale", [True, np.True_, "2", None], ids=repr)
+def test_regime_scale_must_be_a_real_number(scale):
+    """A bool scale is rejected like a bool start slot, and a scale that is
+    no number raises ValueError rather than the comparison's TypeError."""
+    with pytest.raises(ValueError, match="real numbers"):
+        RegimeSchedule(changes=((5, scale),))
 
 
 def test_regime_start_may_be_a_numpy_integer(reference):
@@ -986,7 +946,7 @@ def test_which_runs_predraw_their_blocks(reference, monkeypatch, name, law, bloc
     assert len(calls) == blocks
 
 
-@pytest.mark.parametrize("law", ["bernoulli", "binomial", "btpe"])
+@pytest.mark.parametrize("law", ["bernoulli", "binomial", "btpe", "restart"])
 @pytest.mark.parametrize("every_slot", [False, True])
 def test_learning_policy_builds_its_arrivals_only_when_read(
     reference, monkeypatch, law, every_slot
@@ -996,7 +956,7 @@ def test_learning_policy_builds_its_arrivals_only_when_read(
     updates lambda_hat every slot, whichever reader builds them."""
     cfg, cm, law = _arrivals_case(*reference, law)
     built = []
-    for name in ("_bernoulli_reader", "_inversion_reader", "_count_reader"):
+    for name in ("_block_reader", "_count_reader"):
 
         def counting(*args, reader=getattr(sim, name)):
             arrivals = reader(*args)
