@@ -283,18 +283,28 @@ def _cumulative_pmf(n, p):
 
 @st.composite
 def _binomial_draw(draw):
-    """(n, link probabilities, the first uniform as k * 2**-53 or None)."""
+    """(n, link probabilities, slots, forced): p = 0, p = 1, p = 0.5 and
+    n * p near 30 among the probabilities, and ``forced`` None or a
+    (position, k) that sets the block's uniform at ``position`` to
+    k * 2**-53: at an inversion edge of its link, a step either side of
+    it, near 1, or 0."""
     n = draw(st.integers(1, 100))
     special = st.sampled_from([0.0, 1.0, 0.5, float(np.nextafter(0.5, 1.0))])
     near_30 = st.floats(0.95, 1.05).map(lambda f: min(1.0, 30.0 * f / n))
     prob = st.one_of(st.floats(0.0, 1.0), special, near_30, near_30.map(lambda p: 1.0 - p))
     ps = draw(st.lists(prob, min_size=1, max_size=3))
-    edges = [c for c in _cumulative_pmf(n, ps[0]) if c < 1.0]
+    slots = draw(st.integers(1, 4))
+    drawn = [p for p in ps if p > 0]  # one uniform each
+    if not drawn or draw(st.booleans()):
+        return n, ps, slots, None
+    position = draw(st.integers(0, slots * len(drawn) - 1))
+    edges = [c for c in _cumulative_pmf(n, drawn[position % len(drawn)]) if c < 1.0]
     at_edge = st.sampled_from(edges or [0.5]).map(lambda c: int(c * 2.0**53))
-    shifted = st.tuples(at_edge, st.integers(-1, 1)).map(sum)
-    near_one = st.integers(1, 2**20).map(lambda d: 2**53 - d)  # restarts
-    k = draw(st.one_of(st.none(), shifted, near_one, st.just(0)))
-    return n, ps, k
+    shifted = st.tuples(at_edge, st.integers(-1, 1)).map(
+        lambda t: min(max(sum(t), 0), 2**53 - 1)
+    )
+    near_one = st.integers(1, 2**20).map(lambda d: 2**53 - d)
+    return n, ps, slots, (position, draw(st.one_of(shifted, near_one, st.just(0))))
 
 
 def _restarts(n, p, k):
@@ -334,15 +344,16 @@ def test_a_draw_can_restart_exactly_when_the_largest_uniform_restarts_it(n, p, d
 
 
 @settings(max_examples=500, deadline=None)
-@given(case=_binomial_draw(), seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 4))
-def test_block_counts_equal_the_scalar_sampler(case, seed, slots):
+@given(case=_binomial_draw(), seed=st.integers(0, 2**32 - 1))
+@example(case=(1, [0.5], 1, (0, 2**52)), seed=0)  # u = px = 0.5: a tie counts 0
+def test_block_counts_equal_the_scalar_sampler(case, seed):
     """``_Inversion.counts`` on a block's uniforms gives, slot by slot, what
     ``rng.binomial(n, ps)`` gives from an identical generator, which then
-    takes its next uniform where the block's would, with the first uniform
-    anywhere, at an inversion edge, a step either side of it, near 1 and
-    at 0. ``_inversion`` is None, so that the engine draws by
-    ``rng.binomial``, exactly when some link needs BTPE or can restart."""
-    n, ps, k = case
+    takes its next uniform where the block's would, also with one uniform
+    forced to an inversion edge. ``_inversion`` is None, so that the engine
+    draws by ``rng.binomial``, exactly when some link needs BTPE or can
+    restart."""
+    n, ps, slots, forced = case
     low = [min(p, 1.0 - p) for p in ps]
     btpe = any(x * n > 30.0 for x in low)
     restarts = any(p > 0 and _can_restart(_px_steps(n, x)) for p, x in zip(ps, low))
@@ -351,9 +362,11 @@ def test_block_counts_equal_the_scalar_sampler(case, seed, slots):
     if inversion is None:
         return
     block, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    if k is not None:
-        force_next_uniform(block, k)
-        force_next_uniform(numpy_rng, k)
+    if forced is not None:
+        position, k = forced
+        for rng in (block, numpy_rng):
+            force_next_uniform(rng, k)
+            rng.bit_generator.advance((1 << 128) - position)  # PCG64 steps back
     got = np.zeros((slots, len(ps)), dtype=np.int64)
     got[:, inversion.links] = inversion.counts(block.random((slots, inversion.width)))
     assert got.tolist() == [numpy_rng.binomial(n, ps).tolist() for _ in range(slots)]
